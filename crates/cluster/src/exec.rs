@@ -2,10 +2,13 @@
 //!
 //! Both helpers guarantee the same observable result as a serial run:
 //! work items are independent, results land in input order, and all
-//! cross-item aggregation happens in the (serial) caller. Worker
-//! threads pull items off a shared atomic counter, so long and short
-//! items mix freely without a static schedule — only the *timing*
-//! varies with `jobs`, never the output.
+//! cross-item aggregation happens in the (serial) caller. Only the
+//! *timing* varies with `jobs`, never the output.
+//!
+//! The two schedule differently. [`parallel_map`]'s workers pull items
+//! off a shared atomic counter, so long and short items (whole
+//! experiment runs) mix freely. [`for_each_mut`] hands each worker one
+//! contiguous chunk of its slice, fixed before any item runs.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

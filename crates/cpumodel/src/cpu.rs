@@ -112,12 +112,14 @@ impl Cpu {
     }
 
     /// The current frequency ratio `F_cur / F_max`.
+    #[inline]
     #[must_use]
     pub fn ratio(&self) -> f64 {
         self.pstates.ratio(self.current)
     }
 
     /// The `cf` factor at the current frequency.
+    #[inline]
     #[must_use]
     pub fn cf(&self) -> f64 {
         self.pstates.cf(self.current)
@@ -157,6 +159,7 @@ impl Cpu {
 
     /// Mega-cycles of fmax-equivalent work this core can complete in
     /// `dt` at its current P-state: `F_cur · cf_cur · dt`.
+    #[inline]
     #[must_use]
     pub fn work_capacity(&self, dt: SimDuration) -> f64 {
         self.pstates.state(self.current).effective_mcps() * dt.as_secs_f64()
@@ -175,6 +178,7 @@ impl Cpu {
     /// # Panics
     ///
     /// Panics if `busy` is outside `[0, 1]`.
+    #[inline]
     pub fn account(&mut self, busy: f64, dt: SimDuration) {
         self.energy.advance(
             &self.power,

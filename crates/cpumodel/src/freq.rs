@@ -56,6 +56,7 @@ impl Frequency {
     /// # Panics
     ///
     /// Panics if `fmax` is zero.
+    #[inline]
     #[must_use]
     pub fn ratio_to(self, fmax: Frequency) -> f64 {
         assert!(fmax.0 > 0, "fmax must be non-zero");

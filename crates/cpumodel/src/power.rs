@@ -79,6 +79,7 @@ impl PowerModel {
     /// # Panics
     ///
     /// Panics if `busy` is outside `[0, 1]`.
+    #[inline]
     #[must_use]
     pub fn power_scaled(&self, state: &PState, fmax_state: &PState, busy: f64) -> f64 {
         assert!(
@@ -123,6 +124,7 @@ impl EnergyMeter {
     /// # Panics
     ///
     /// Panics if `dt_secs` is negative or `busy` outside `[0, 1]`.
+    #[inline]
     pub fn advance(
         &mut self,
         model: &PowerModel,

@@ -36,6 +36,7 @@ pub struct PState {
 impl PState {
     /// Effective computing capacity at this state, in mega-cycles per
     /// second *of maximum-frequency-equivalent work*: `F_i · cf_i`.
+    #[inline]
     #[must_use]
     pub fn effective_mcps(&self) -> f64 {
         self.frequency.as_mhz() as f64 * self.cf
@@ -163,6 +164,7 @@ impl PStateTable {
     ///
     /// Panics if `idx` is out of range; use [`get`](Self::get) for a
     /// checked lookup.
+    #[inline]
     #[must_use]
     pub fn state(&self, idx: PStateIdx) -> &PState {
         &self.states[idx.0]
@@ -181,6 +183,7 @@ impl PStateTable {
     }
 
     /// The highest-frequency state.
+    #[inline]
     #[must_use]
     pub fn max(&self) -> &PState {
         self.states.last().expect("non-empty by construction")
@@ -199,6 +202,7 @@ impl PStateTable {
     }
 
     /// The maximum frequency (`F_max`).
+    #[inline]
     #[must_use]
     pub fn fmax(&self) -> Frequency {
         self.max().frequency
@@ -209,6 +213,7 @@ impl PStateTable {
     /// # Panics
     ///
     /// Panics if `idx` is out of range.
+    #[inline]
     #[must_use]
     pub fn ratio(&self, idx: PStateIdx) -> f64 {
         self.state(idx).frequency.ratio_to(self.fmax())
@@ -219,6 +224,7 @@ impl PStateTable {
     /// # Panics
     ///
     /// Panics if `idx` is out of range.
+    #[inline]
     #[must_use]
     pub fn cf(&self, idx: PStateIdx) -> f64 {
         self.state(idx).cf

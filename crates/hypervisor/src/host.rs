@@ -351,22 +351,20 @@ impl HostPerf {
 const FUSE_PROBE_BACKOFF: u16 = 8;
 
 /// Struct-of-arrays sidecar for the fused window loop: the per-VM
-/// demand model flattened into plain floats for one boundary window.
-/// Valid for a whole window because every input is pinned between
-/// boundaries: steady rates are constant by the
+/// demand added per quantum, flattened into plain floats for one
+/// boundary window. Valid for a whole window because every input is
+/// pinned between boundaries: steady rates are constant by the
 /// [`WorkSource::steady_rate_mcps`] contract, and exhaustion is
 /// absorbing by the [`WorkSource::demand_exhausted`] contract.
-/// Backlogs deliberately stay authoritative in the [`Vm`] structs —
-/// the fused loop reads and writes `Vm::backlog_mcycles` directly, so
-/// there is no state to re-synchronise on fallback.
+/// Runnability is read from the [`Vm`]s, whose cached demand model
+/// answers it for steady sources, and backlogs stay authoritative
+/// there too — the fused loop reads and writes `Vm::backlog_mcycles`
+/// directly, so there is no state to re-synchronise on fallback.
 #[derive(Default)]
 struct HotVms {
     /// Per VM: demand added per quantum (`rate · quantum`), `0.0` for
     /// exhausted sources.
     add: Vec<f64>,
-    /// Per VM: `demand_exhausted()` at window start — selects which
-    /// runnability threshold `Vm::is_runnable` applies.
-    exhausted: Vec<bool>,
     /// Indices of VMs with `add > 0`: the only VMs whose backlog (and
     /// hence runnability) can change during a window without running.
     growers: Vec<u32>,
@@ -517,7 +515,7 @@ impl Host {
     /// Panics if `id` is unknown.
     pub fn retire_vm(&mut self, id: VmId) {
         let vm = &mut self.vms[id.0];
-        vm.work = Box::new(crate::work::Idle);
+        vm.replace_work(Box::new(crate::work::Idle));
         vm.backlog_mcycles = 0.0;
     }
 
@@ -536,7 +534,7 @@ impl Host {
     /// Panics if `id` is unknown.
     pub fn extract_vm(&mut self, id: VmId) -> MigratedVm {
         let vm = &mut self.vms[id.0];
-        let work = std::mem::replace(&mut vm.work, Box::new(crate::work::Idle));
+        let work = vm.replace_work(Box::new(crate::work::Idle));
         let backlog_mcycles = std::mem::replace(&mut vm.backlog_mcycles, 0.0);
         MigratedVm {
             config: vm.config.clone(),
@@ -562,7 +560,7 @@ impl Host {
     /// Panics if `id` is unknown.
     #[must_use]
     pub fn vm_qos(&self, id: VmId) -> Option<crate::work::QosSummary> {
-        self.vms[id.0].work.qos_summary()
+        self.vms[id.0].work().qos_summary()
     }
 
     /// Installs a simulation-event tracer: from here on, scheduler
@@ -615,7 +613,7 @@ impl Host {
     pub fn is_quiescent(&self) -> bool {
         self.vms
             .iter()
-            .all(|vm| !vm.is_runnable() && vm.work.demand_exhausted())
+            .all(|vm| !vm.is_runnable() && vm.demand_exhausted())
     }
 
     /// Runs the simulation until the absolute instant `t_end`.
@@ -665,7 +663,7 @@ impl Host {
     /// boundary. The host stops at that instant.
     pub fn run_until_vm_finished(&mut self, id: VmId, limit: SimTime) -> Option<SimTime> {
         loop {
-            if self.vms[id.0].work.is_finished() && !self.vms[id.0].is_runnable() {
+            if self.vms[id.0].is_complete() {
                 self.handle_boundaries();
                 self.stats.set_elapsed(self.now);
                 return Some(self.now);
@@ -874,7 +872,6 @@ impl Host {
     fn refresh_hot(&mut self) {
         let hot = &mut self.hot;
         hot.add.clear();
-        hot.exhausted.clear();
         hot.growers.clear();
         hot.fusable = true;
         let qs = self.quantum.as_secs_f64();
@@ -884,23 +881,21 @@ impl Host {
         hot.busy_q = SimDuration::from_secs_f64(qs);
         hot.abs_q = qs * self.cpu.ratio() * self.cpu.cf();
         for (i, vm) in self.vms.iter().enumerate() {
-            if let Some(rate) = vm.work.steady_rate_mcps() {
-                let add = rate * qs;
-                hot.add.push(add);
-                hot.exhausted.push(vm.work.demand_exhausted());
-                if add > 0.0 {
-                    hot.growers.push(i as u32);
+            let add = match vm.steady_rate_mcps() {
+                Some(rate) => rate * qs,
+                None if vm.demand_exhausted() => 0.0,
+                None => {
+                    // A source whose generate() must run every slice
+                    // (stepped demand, open-loop injectors): the window
+                    // cannot be replayed. Stop classifying — the
+                    // sidecar is not consulted on the unfusable path.
+                    hot.fusable = false;
+                    return;
                 }
-            } else if vm.work.demand_exhausted() {
-                hot.add.push(0.0);
-                hot.exhausted.push(true);
-            } else {
-                // A source whose generate() must run every slice
-                // (stepped demand, open-loop injectors): the window
-                // cannot be replayed. Stop classifying — the sidecar
-                // is not consulted on the unfusable path.
-                hot.fusable = false;
-                return;
+            };
+            hot.add.push(add);
+            if add > 0.0 {
+                hot.growers.push(i as u32);
             }
         }
     }
@@ -997,16 +992,10 @@ impl Host {
         let qs = self.hot.qs;
         let busy_q = self.hot.busy_q;
         let abs_q = self.hot.abs_q;
-        // Exactly one runnable VM; the comparisons are bit-equivalent
-        // to `Vm::is_runnable` via the per-window exhaustion flags.
+        // Exactly one runnable VM.
         let mut pick = None;
         for (i, vm) in self.vms.iter().enumerate() {
-            let runnable = if self.hot.exhausted[i] {
-                vm.backlog_mcycles > 1e-9
-            } else {
-                vm.backlog_mcycles >= MIN_RUNNABLE_MCYCLES
-            };
-            if runnable {
+            if vm.is_runnable() {
                 if pick.is_some() {
                     return; // two runnable VMs: the pick can alternate
                 }
@@ -1037,15 +1026,10 @@ impl Host {
                     return;
                 }
             }
-            let b_p = self.vms[p].backlog_mcycles;
-            let p_runnable = if self.hot.exhausted[p] {
-                b_p > 1e-9
-            } else {
-                b_p >= MIN_RUNNABLE_MCYCLES
-            };
-            if !p_runnable {
+            if !self.vms[p].is_runnable() {
                 return;
             }
+            let b_p = self.vms[p].backlog_mcycles;
             // The slice the exact path would take, computed with its
             // exact float operations, must be one full quantum.
             let cap_slice = core.max_slice(p_id, self.now);
@@ -1114,11 +1098,11 @@ impl Host {
             let idx = i as u32;
             if vm.is_runnable() {
                 self.wakes.push(self.now, WakeKind::VmDrain(idx));
-            } else if vm.work.demand_exhausted() {
+            } else if vm.demand_exhausted() {
                 // Exhaustion is absorbing and the backlog is below the
                 // runnable threshold: this VM never wakes again.
             } else {
-                match vm.work.steady_rate_mcps() {
+                match vm.steady_rate_mcps() {
                     Some(rate) if rate > 0.0 => {
                         let deficit = (MIN_RUNNABLE_MCYCLES - vm.backlog_mcycles).max(0.0);
                         let dt = SimDuration::from_secs_f64((deficit / rate).min(span_s));

@@ -76,6 +76,9 @@ pub struct MultiHost {
     next_sample: SimTime,
     snapshots: Vec<MultiSnapshot>,
     window_start: SimTime,
+    // Reusable runnable-scan buffer, as in `Host`: `advance` runs once
+    // per core every 1 ms step.
+    runnable_scratch: Vec<VmId>,
 }
 
 impl MultiHost {
@@ -115,6 +118,7 @@ impl MultiHost {
             next_sample: SimTime::ZERO + sample_period,
             snapshots: Vec::new(),
             window_start: SimTime::ZERO,
+            runnable_scratch: Vec::new(),
         }
     }
 
@@ -232,14 +236,17 @@ impl MultiHost {
         for vm in &mut self.vms {
             vm.refill(slice_end, dt);
         }
+        let mut runnable = std::mem::take(&mut self.runnable_scratch);
         for core_idx in 0..self.cores.len() {
             let core_id = CoreId(core_idx);
-            let runnable: Vec<VmId> = self.cores[core_idx]
-                .vms
-                .iter()
-                .copied()
-                .filter(|id| self.vms[id.0].is_runnable())
-                .collect();
+            runnable.clear();
+            runnable.extend(
+                self.cores[core_idx]
+                    .vms
+                    .iter()
+                    .copied()
+                    .filter(|id| self.vms[id.0].is_runnable()),
+            );
             let pick = self.cores[core_idx].sched.pick_next(self.now, &runnable);
             let Some(vm) = pick else {
                 self.pkg.core_mut(core_id).account(0.0, dt);
@@ -269,6 +276,7 @@ impl MultiHost {
             st.total_busy += busy_secs;
             self.vm_total_abs[vm.0] += abs_secs;
         }
+        self.runnable_scratch = runnable;
         self.now = slice_end;
     }
 

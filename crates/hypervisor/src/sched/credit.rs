@@ -23,13 +23,34 @@ use crate::vm::{Priority, VmConfig, VmId};
 struct VmCredit {
     weight: u32,
     priority: Priority,
-    /// Cap as a fraction of wall time per period (`None` = uncapped).
-    cap: Option<f64>,
+    /// `None` = uncapped.
+    cap: Option<Cap>,
     /// Wall time consumed in the current period.
     used: SimDuration,
     /// Fairness credit in microseconds (refilled by weight, burned by
     /// runtime): positive = UNDER, negative = OVER.
     credit_us: i64,
+}
+
+/// A cap and the wall time it allows per accounting period.
+#[derive(Debug, Clone, Copy)]
+struct Cap {
+    /// Fraction of wall time per period.
+    fraction: f64,
+    /// `period.mul_f64(fraction)`. Stored by [`Cap::new`], which every
+    /// cap write goes through (`on_vm_added`, `set_cap`), so the
+    /// eligibility test each pick runs per candidate reads it instead
+    /// of recomputing it; the period never changes after construction.
+    allowance: SimDuration,
+}
+
+impl Cap {
+    fn new(period: SimDuration, fraction: f64) -> Self {
+        Cap {
+            fraction,
+            allowance: period.mul_f64(fraction),
+        }
+    }
 }
 
 /// The Xen Credit scheduler.
@@ -106,7 +127,7 @@ impl CreditScheduler {
             .expect("set_cap on unknown VM");
         entry.cap = cap.map(|c| {
             assert!(c.is_finite() && c >= 0.0, "invalid cap {c}");
-            c.min(1.0)
+            Cap::new(self.period, c.min(1.0))
         });
     }
 
@@ -135,13 +156,7 @@ impl CreditScheduler {
 
     fn eligible(&self, id: VmId) -> bool {
         let vm = self.entry(id);
-        match vm.cap {
-            None => true,
-            Some(cap) => {
-                let allowance = self.period.mul_f64(cap);
-                vm.used < allowance
-            }
-        }
+        vm.cap.is_none_or(|cap| vm.used < cap.allowance)
     }
 
     fn total_weight(&self) -> u64 {
@@ -162,7 +177,7 @@ impl Scheduler for CreditScheduler {
         let cap = if cfg.credit.is_uncapped() {
             None
         } else {
-            Some(cfg.credit.as_fraction())
+            Some(Cap::new(self.period, cfg.credit.as_fraction()))
         };
         if id.0 >= self.vms.len() {
             self.vms.resize_with(id.0 + 1, || None);
@@ -238,7 +253,7 @@ impl Scheduler for CreditScheduler {
         let entry = self.entry(vm);
         match entry.cap {
             None => self.period,
-            Some(cap) => self.period.mul_f64(cap).saturating_sub(entry.used),
+            Some(cap) => cap.allowance.saturating_sub(entry.used),
         }
     }
 
@@ -253,7 +268,7 @@ impl Scheduler for CreditScheduler {
     }
 
     fn effective_cap(&self, vm: VmId) -> Option<f64> {
-        self.entry(vm).cap
+        self.entry(vm).cap.map(|cap| cap.fraction)
     }
 
     fn set_cap_external(&mut self, vm: VmId, cap: Option<f64>) -> bool {
@@ -396,6 +411,47 @@ mod tests {
         assert_eq!(s.effective_cap(VmId(0)), Some(1.0));
         s.set_cap(VmId(0), None);
         assert_eq!(s.effective_cap(VmId(0)), None);
+    }
+
+    /// The allowance `set_cap` stores is the one computed from the cap
+    /// on the spot: `max_slice` and the eligibility `pick_next` applies
+    /// match `period.mul_f64(cap)` on both sides of the boundary.
+    #[test]
+    fn stored_allowance_matches_uncached_computation() {
+        for period_ms in [30, 100] {
+            let mut s = CreditScheduler::with_period(SimDuration::from_millis(period_ms));
+            s.on_vm_added(VmId(0), &VmConfig::new("v", Credit::percent(20.0)));
+            let used = SimDuration::from_micros(4_321);
+            s.charge(VmId(0), used);
+            for cap in [
+                0.0,
+                1e-7,
+                0.0432,
+                0.04321,
+                0.144,
+                0.1441,
+                1.0 / 3.0,
+                0.999_999,
+                1.0,
+                1.25,
+            ] {
+                s.set_cap(VmId(0), Some(cap));
+                let allowance = s.period().mul_f64(cap.min(1.0));
+                assert_eq!(
+                    s.max_slice(VmId(0), SimTime::ZERO),
+                    allowance.saturating_sub(used),
+                    "cap {cap}, period {period_ms} ms"
+                );
+                assert_eq!(
+                    s.pick_next(SimTime::ZERO, &[VmId(0)]).is_some(),
+                    used < allowance,
+                    "cap {cap}, period {period_ms} ms"
+                );
+            }
+            s.set_cap(VmId(0), None);
+            assert_eq!(s.max_slice(VmId(0), SimTime::ZERO), s.period());
+            assert_eq!(s.pick_next(SimTime::ZERO, &[VmId(0)]), Some(VmId(0)));
+        }
     }
 
     #[test]

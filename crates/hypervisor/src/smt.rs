@@ -84,6 +84,10 @@ pub struct SmtHost {
     acct_period: SimDuration,
     next_acct: SimTime,
     window_start: SimTime,
+    // Reusable per-step buffers, as in `Host`: `advance` runs every
+    // 1 ms step.
+    runnable_scratch: Vec<VmId>,
+    picks_scratch: Vec<Option<(VmId, SimDuration)>>,
 }
 
 impl SmtHost {
@@ -117,6 +121,8 @@ impl SmtHost {
             acct_period,
             next_acct: SimTime::ZERO + acct_period,
             window_start: SimTime::ZERO,
+            runnable_scratch: Vec::new(),
+            picks_scratch: Vec::new(),
         }
     }
 
@@ -230,24 +236,28 @@ impl SmtHost {
         }
         // First pass: each thread picks, so contention for this
         // quantum is known before any work is executed.
-        let mut picks: Vec<Option<(VmId, SimDuration)>> = Vec::with_capacity(self.threads.len());
+        let mut picks = std::mem::take(&mut self.picks_scratch);
+        let mut runnable = std::mem::take(&mut self.runnable_scratch);
+        picks.clear();
         for t in &mut self.threads {
-            let runnable: Vec<VmId> = t
-                .vms
-                .iter()
-                .copied()
-                .filter(|id| self.vms[id.0].is_runnable())
-                .collect();
+            runnable.clear();
+            runnable.extend(
+                t.vms
+                    .iter()
+                    .copied()
+                    .filter(|id| self.vms[id.0].is_runnable()),
+            );
             let pick = t.sched.pick_next(self.now, &runnable);
             picks.push(pick.map(|vm| (vm, t.sched.max_slice(vm, self.now).min(dt))));
         }
+        self.runnable_scratch = runnable;
         let busy_threads = picks.iter().filter(|p| p.is_some()).count();
         let factor = self.smt.per_thread_factor(busy_threads);
         let contended = busy_threads >= self.threads.len() && self.threads.len() > 1;
 
         let mcps = self.cpu.pstates().state(self.cpu.pstate()).effective_mcps();
         let mut core_busy_secs: f64 = 0.0;
-        for (idx, pick) in picks.into_iter().enumerate() {
+        for (idx, &pick) in picks.iter().enumerate() {
             let Some((vm, allowed)) = pick else { continue };
             let capacity = mcps * factor * allowed.as_secs_f64();
             let done = self.vms[vm.0].execute(capacity, slice_end);
@@ -267,6 +277,7 @@ impl SmtHost {
             self.vm_mcycles[vm.0] += done;
             core_busy_secs = core_busy_secs.max(busy_secs);
         }
+        self.picks_scratch = picks;
         self.cpu
             .account(core_busy_secs / dt.as_secs_f64().max(1e-12), dt);
         self.now = slice_end;

@@ -5,7 +5,7 @@ use std::fmt;
 use pas_core::Credit;
 use simkernel::{SimDuration, SimTime};
 
-use crate::work::WorkSource;
+use crate::work::{Idle, WorkSource};
 
 /// Identifies a VM on its host (dense index, assigned by the host in
 /// creation order).
@@ -131,8 +131,14 @@ pub struct Vm {
     pub id: VmId,
     /// Static configuration.
     pub config: VmConfig,
-    /// The workload running inside the guest.
-    pub work: Box<dyn WorkSource>,
+    /// The workload running inside the guest. Private so that
+    /// [`Vm::replace_work`] is its only writer and `steady` cannot go
+    /// stale.
+    work: Box<dyn WorkSource>,
+    /// The source's steady demand model, read once by
+    /// [`Vm::replace_work`]: `None` for sources that must be asked
+    /// every time.
+    steady: Option<Steady>,
     /// The config name interned for trace recording: cloning this is
     /// a reference-count bump, so hot scheduling paths can stamp
     /// events without allocating (see [`trace::VmName`]).
@@ -157,18 +163,65 @@ pub struct Vm {
 /// complete exactly.
 pub const MIN_RUNNABLE_MCYCLES: f64 = 0.003;
 
+/// What a steady source declares through
+/// [`WorkSource::steady_rate_mcps`]. By that contract both fields hold
+/// for the source's whole life, so the slice loop reads them here and
+/// never calls the source.
+#[derive(Debug, Clone, Copy)]
+struct Steady {
+    rate_mcps: f64,
+    exhausted: bool,
+}
+
 impl Vm {
     /// Creates a VM with an empty backlog.
     #[must_use]
     pub fn new(id: VmId, config: VmConfig, work: Box<dyn WorkSource>) -> Self {
         let name_tag = trace::VmName::from(config.name.as_str());
-        Vm {
+        let mut vm = Vm {
             id,
             config,
-            work,
+            work: Box::new(Idle),
+            steady: None,
             name_tag,
             backlog_mcycles: 0.0,
             total_done_mcycles: 0.0,
+        };
+        vm.replace_work(work);
+        vm
+    }
+
+    /// The workload running inside the guest.
+    #[must_use]
+    pub fn work(&self) -> &dyn WorkSource {
+        &*self.work
+    }
+
+    /// Installs `work` as the VM's workload and returns the previous
+    /// one. The backlog is left alone.
+    pub(crate) fn replace_work(&mut self, work: Box<dyn WorkSource>) -> Box<dyn WorkSource> {
+        self.steady = work.steady_rate_mcps().map(|rate_mcps| Steady {
+            rate_mcps,
+            exhausted: work.demand_exhausted(),
+        });
+        std::mem::replace(&mut self.work, work)
+    }
+
+    /// The workload's [`WorkSource::steady_rate_mcps`], as read when it
+    /// was installed.
+    #[must_use]
+    pub(crate) fn steady_rate_mcps(&self) -> Option<f64> {
+        self.steady.map(|s| s.rate_mcps)
+    }
+
+    /// The workload's [`WorkSource::demand_exhausted`]; a steady
+    /// source's answer is the one read when it was installed.
+    #[inline]
+    #[must_use]
+    pub(crate) fn demand_exhausted(&self) -> bool {
+        match self.steady {
+            Some(s) => s.exhausted,
+            None => self.work.demand_exhausted(),
         }
     }
 
@@ -176,9 +229,10 @@ impl Vm {
     /// [`MIN_RUNNABLE_MCYCLES`]); once the workload has generated all
     /// its demand, any remaining backlog tail counts so batch jobs
     /// complete exactly.
+    #[inline]
     #[must_use]
     pub fn is_runnable(&self) -> bool {
-        if self.work.demand_exhausted() {
+        if self.demand_exhausted() {
             self.backlog_mcycles > 1e-9
         } else {
             self.backlog_mcycles >= MIN_RUNNABLE_MCYCLES
@@ -187,6 +241,12 @@ impl Vm {
 
     /// Pulls new demand from the workload for the elapsed span.
     pub fn refill(&mut self, now: SimTime, dt: SimDuration) {
+        if let Some(s) = self.steady {
+            // The value `generate` must return, under a backlog cap
+            // that is infinite: nothing to clamp, nothing dropped.
+            self.backlog_mcycles += s.rate_mcps * dt.as_secs_f64();
+            return;
+        }
         let generated = self.work.generate(now, dt);
         debug_assert!(generated >= 0.0, "workload generated negative demand");
         self.backlog_mcycles += generated;
@@ -204,7 +264,8 @@ impl Vm {
         let done = self.backlog_mcycles.min(capacity_mcycles);
         self.backlog_mcycles -= done;
         self.total_done_mcycles += done;
-        if done > 0.0 {
+        // `on_progress` of a steady source is a no-op.
+        if done > 0.0 && self.steady.is_none() {
             self.work.on_progress(done, now);
         }
         done

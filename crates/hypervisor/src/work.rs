@@ -102,10 +102,17 @@ pub trait WorkSource: Send {
     /// [`on_dropped`](Self::on_dropped) are no-ops, that
     /// [`backlog_cap_mcycles`](Self::backlog_cap_mcycles) is infinite,
     /// and that [`demand_exhausted`](Self::demand_exhausted) is
-    /// constant over time (`false` whenever `r > 0`). The host's
-    /// event-driven core uses this to replay steady scheduling windows
-    /// without calling back into the source; any source with history-
-    /// or time-dependent behaviour must return `None` (the default).
+    /// constant over time (`false` whenever `r > 0`). Any source with
+    /// history- or time-dependent behaviour must return `None` (the
+    /// default).
+    ///
+    /// The exact slice loop relies on this. A [`Vm`](crate::vm::Vm)
+    /// reads the rate and `demand_exhausted` once, when the source is
+    /// installed, and from then on never calls `generate`,
+    /// `on_progress` or `backlog_cap_mcycles` of a steady source, nor
+    /// asks it again whether its demand is exhausted: refills add
+    /// `r * dt.as_secs_f64()` to the backlog directly. The host's
+    /// fused window replay reads the same cached rate.
     fn steady_rate_mcps(&self) -> Option<f64> {
         None
     }

@@ -3,10 +3,10 @@
 
 use hypervisor::host::{HostConfig, SchedulerKind};
 use hypervisor::vm::{SedfParams, VmConfig, VmId};
-use hypervisor::work::ConstantDemand;
+use hypervisor::work::{ConstantDemand, Idle, QosSummary, WorkSource};
 use pas_core::Credit;
 use proptest::prelude::*;
-use simkernel::SimDuration;
+use simkernel::{SimDuration, SimTime};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
@@ -185,7 +185,7 @@ proptest! {
         secs in 30u64..90,
     ) {
         use governors::{Performance, StableOndemand};
-        use hypervisor::work::{test_batch, ConstantDemand, Idle, WorkSource};
+        use hypervisor::work::test_batch;
 
         let sched = [
             SchedulerKind::Credit,
@@ -237,5 +237,129 @@ proptest! {
         let on = run(true);
         let off = run(false);
         prop_assert_eq!(on, off);
+    }
+}
+
+/// Forwards every [`WorkSource`] method to the wrapped source except
+/// `steady_rate_mcps`, which keeps its default `None`: a VM running an
+/// `Opaque` source has no cached demand model, so the host asks the
+/// source on every slice, and the fused replay never engages.
+struct Opaque<W>(W);
+
+impl<W: WorkSource> WorkSource for Opaque<W> {
+    fn label(&self) -> &str {
+        self.0.label()
+    }
+
+    fn generate(&mut self, now: SimTime, dt: SimDuration) -> f64 {
+        self.0.generate(now, dt)
+    }
+
+    fn on_progress(&mut self, mcycles: f64, now: SimTime) {
+        self.0.on_progress(mcycles, now);
+    }
+
+    fn on_dropped(&mut self, mcycles: f64, now: SimTime) {
+        self.0.on_dropped(mcycles, now);
+    }
+
+    fn backlog_cap_mcycles(&self) -> f64 {
+        self.0.backlog_cap_mcycles()
+    }
+
+    fn is_finished(&self) -> bool {
+        self.0.is_finished()
+    }
+
+    fn demand_exhausted(&self) -> bool {
+        self.0.demand_exhausted()
+    }
+
+    fn qos_summary(&self) -> Option<QosSummary> {
+        self.0.qos_summary()
+    }
+}
+
+/// A steady source, plain or hidden behind [`Opaque`]. Kinds: a busy
+/// constant demand of `frac` × fmax, a trickle of `frac` × 0.1 % of
+/// fmax (sub-quantum wake/drain slices), a zero-rate source, an idle VM.
+fn steady_source(kind: usize, frac: f64, fmax: f64, opaque: bool) -> Box<dyn WorkSource> {
+    fn boxed<W: WorkSource + 'static>(w: W, opaque: bool) -> Box<dyn WorkSource> {
+        if opaque {
+            Box::new(Opaque(w))
+        } else {
+            Box::new(w)
+        }
+    }
+    match kind {
+        0 => boxed(ConstantDemand::new(frac * fmax), opaque),
+        1 => boxed(ConstantDemand::new(frac * 1e-3 * fmax), opaque),
+        2 => boxed(ConstantDemand::new(0.0), opaque),
+        _ => boxed(Idle, opaque),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The cached steady demand model changes no bit: a Credit or PAS
+    /// host of steady VMs — random bookings, external cap overrides, a
+    /// VM retired or migrated out and back mid-run — must match, to
+    /// the last bit, its twin whose sources hide their steady rate and
+    /// so go through the uncached path.
+    #[test]
+    fn cached_demand_model_matches_opaque_sources(
+        setup in (0usize..2, 0usize..3, 0usize..8, 20u64..60),
+        vms in proptest::collection::vec((0usize..4, 0.05f64..1.2, 5.0f64..90.0), 1..6),
+        overrides in proptest::collection::vec((0usize..8, 0.0f64..1.1), 0..4),
+    ) {
+        let (sched_ix, churn, churn_vm, secs) = setup;
+        let sched = [SchedulerKind::Credit, SchedulerKind::Pas][sched_ix];
+        let run = |opaque: bool| {
+            let mut host = HostConfig::optiplex_defaults(sched).build();
+            let fmax = host.fmax_mcps();
+            for (i, &(kind, frac, credit)) in vms.iter().enumerate() {
+                host.add_vm(
+                    VmConfig::new(format!("vm{i}"), Credit::percent(credit)),
+                    steady_source(kind, frac, fmax, opaque),
+                );
+            }
+            let n = vms.len();
+            for (k, &(vm, cap)) in overrides.iter().enumerate() {
+                // Every third override lifts the cap instead.
+                host.set_vm_cap(VmId(vm % n), (k % 3 != 2).then_some(cap));
+            }
+            host.run_for(SimDuration::from_secs(secs / 2));
+            let victim = VmId(churn_vm % n);
+            match churn {
+                1 => host.retire_vm(victim),
+                2 => {
+                    let moved = host.extract_vm(victim);
+                    host.admit_vm(moved);
+                }
+                _ => {}
+            }
+            host.run_for(SimDuration::from_secs(secs - secs / 2));
+            let per_vm: Vec<(u64, u64, u64)> = (0..host.vm_count())
+                .map(|i| {
+                    let id = VmId(i);
+                    (
+                        host.stats().vm_busy_fraction(id).to_bits(),
+                        host.stats().vm_absolute_fraction(id).to_bits(),
+                        host.vm(id).total_done_mcycles.to_bits(),
+                    )
+                })
+                .collect();
+            (
+                host.cpu().energy().joules().to_bits(),
+                host.stats().global_busy_fraction().to_bits(),
+                host.cpu().pstate(),
+                host.cpu().transitions(),
+                host.now(),
+                per_vm,
+                host.stats().snapshots().to_vec(),
+            )
+        };
+        prop_assert_eq!(run(false), run(true));
     }
 }

@@ -142,6 +142,7 @@ impl SimDuration {
     /// # Panics
     ///
     /// Panics if `s` is negative or not finite.
+    #[inline]
     #[must_use]
     pub fn from_secs_f64(s: f64) -> Self {
         assert!(s.is_finite() && s >= 0.0, "invalid duration {s}");
@@ -161,6 +162,7 @@ impl SimDuration {
     }
 
     /// This span as fractional seconds.
+    #[inline]
     #[must_use]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e6
@@ -173,12 +175,14 @@ impl SimDuration {
     }
 
     /// Saturating subtraction.
+    #[inline]
     #[must_use]
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
     }
 
     /// The smaller of two spans.
+    #[inline]
     #[must_use]
     pub fn min(self, other: SimDuration) -> SimDuration {
         if self <= other {

@@ -433,3 +433,158 @@ fn event_core_fleet_artifacts_are_byte_identical_across_jobs_and_shards() {
         );
     }
 }
+
+/// The values behind [`golden_bits_are_pinned`], as `(name, bits)`:
+/// floats as raw `f64::to_bits`, counts as themselves.
+fn golden_values() -> Vec<(&'static str, u64)> {
+    use pas_repro::cluster::{Fleet, FleetConfig, MigrationTrigger, ShardConfig, VmSpec};
+    use pas_repro::cpumodel::machines;
+    use pas_repro::cpumodel::topology::{CoreId, DvfsGranularity, Topology};
+    use pas_repro::cpumodel::SmtSpec;
+    use pas_repro::hypervisor::multicore::{MultiDvfs, MultiHost};
+    use pas_repro::hypervisor::smt::{SmtAwareness, SmtHost, ThreadId};
+    use pas_repro::hypervisor::work::{ConstantDemand, Idle};
+    use pas_repro::hypervisor::{HostConfig, VmConfig};
+    use pas_repro::pas_core::Credit;
+    use pas_repro::simkernel::SimDuration;
+
+    let mut golden = Vec::new();
+
+    // A small sharded PAS fleet: busy, trickle and idle VMs, and two
+    // surges that overload their hosts mid-run so the controller
+    // migrates (extract, then admit) while the fleet runs.
+    let mut specs: Vec<VmSpec> = (0..2)
+        .map(|i| {
+            VmSpec::new(format!("surge{i}"), 5.0, 0.25)
+                .with_credit_frac(0.60)
+                .with_steps(vec![(40.0 + 30.0 * f64::from(i), 0.60)])
+        })
+        .collect();
+    specs.extend((0..4).map(|i| VmSpec::new(format!("busy{i}"), 5.0, 0.25).with_credit_frac(0.35)));
+    specs.extend(
+        (0..6).map(|i| VmSpec::new(format!("trickle{i}"), 1.0, 0.002).with_credit_frac(0.2)),
+    );
+    specs.extend((0..2).map(|i| VmSpec::new(format!("idle{i}"), 1.0, 0.0).with_credit_frac(0.1)));
+    let mut fleet = Fleet::build(
+        FleetConfig::pas_defaults()
+            .with_sharding(ShardConfig::new(2).with_virtual_zones(2))
+            .with_trigger(MigrationTrigger::default())
+            .with_spares(1),
+        &specs,
+    );
+    fleet.run_epochs(4, 2);
+    let totals = fleet.totals();
+    golden.push(("fleet.energy_j", totals.energy_j.to_bits()));
+    golden.push(("fleet.sla_ratio", totals.sla_ratio.to_bits()));
+    golden.push(("fleet.migrations", totals.migration_count as u64));
+
+    // The paper's three-phase scenario under PAS.
+    let mut pas = build(ScenarioConfig::new(
+        SchedulerKind::Pas,
+        Intensity::Exact,
+        Fidelity::Quick,
+    ));
+    pas.run();
+    let stats = pas.host.stats();
+    golden.push(("pas.v20_abs", stats.vm_absolute_fraction(pas.v20).to_bits()));
+    golden.push(("pas.v70_abs", stats.vm_absolute_fraction(pas.v70).to_bits()));
+    golden.push(("pas.energy_j", pas.total_energy_j().to_bits()));
+
+    // The same scenario under Credit + ondemand with Poisson arrivals.
+    let mut credit = build(
+        ScenarioConfig::new(SchedulerKind::Credit, Intensity::Exact, Fidelity::Quick)
+            .with_governor(Box::new(Ondemand::default()))
+            .with_bursty_arrivals(7),
+    );
+    credit.run();
+    golden.push((
+        "credit_ondemand.transitions",
+        credit.host.cpu().transitions(),
+    ));
+    golden.push((
+        "credit_ondemand.energy_j",
+        credit.total_energy_j().to_bits(),
+    ));
+
+    // A steady PAS host: V20 thrashing, V70 idle (the fused replay).
+    let mut steady = HostConfig::optiplex_defaults(SchedulerKind::Pas).build();
+    let fmax = steady.fmax_mcps();
+    steady.add_vm(
+        VmConfig::new("v20", Credit::percent(20.0)),
+        Box::new(ConstantDemand::new(fmax)),
+    );
+    steady.add_vm(VmConfig::new("v70", Credit::percent(70.0)), Box::new(Idle));
+    steady.run_for(SimDuration::from_secs(120));
+    golden.push((
+        "steady_pas.energy_j",
+        steady.cpu().energy().joules().to_bits(),
+    ));
+
+    // A 2 × 2 per-core-DVFS PAS multi-core host, every core thrashing.
+    let mut multi = MultiHost::new(
+        &machines::optiplex_755(),
+        Topology::new(2, 2, DvfsGranularity::PerCore),
+        MultiDvfs::Pas,
+    );
+    let fmax = multi.fmax_mcps();
+    for (core, booked) in [20.0, 70.0, 40.0, 10.0].into_iter().enumerate() {
+        multi.add_vm(
+            VmConfig::new(format!("vm{core}"), Credit::percent(booked)),
+            Box::new(ConstantDemand::new(fmax)),
+            CoreId(core),
+        );
+    }
+    multi.run_for(SimDuration::from_secs(60));
+    golden.push(("multihost.energy_j", multi.total_energy_j().to_bits()));
+
+    // An SMT core, contention-aware PAS, both siblings thrashing.
+    let mut smt = SmtHost::new(
+        &machines::optiplex_755(),
+        SmtSpec::intel_typical(),
+        SmtAwareness::Aware,
+    );
+    let fmax = smt.fmax_mcps();
+    for thread in 0..2 {
+        smt.add_vm(
+            VmConfig::new(format!("t{thread}"), Credit::percent(40.0)),
+            Box::new(ConstantDemand::new(fmax)),
+            ThreadId(thread),
+        );
+    }
+    smt.run_for(SimDuration::from_secs(60));
+    golden.push(("smthost.energy_j", smt.total_energy_j().to_bits()));
+    golden
+}
+
+/// Golden bits: results of every host model pinned to the last bit.
+/// A change that only makes the simulator faster (caching a value
+/// where it is written, inlining, reusing buffers) must leave each of
+/// these in place. Regenerate the literals only in a commit that does
+/// nothing else (the failure message prints the current table), and
+/// only once a change has moved the arithmetic on purpose — integer
+/// accounting, say.
+#[test]
+fn golden_bits_are_pinned() {
+    const GOLDEN: &[(&str, u64)] = &[
+        ("fleet.energy_j", 0x40e2d7d045de6c13),
+        ("fleet.sla_ratio", 0x3feefc5dc1805aff),
+        ("fleet.migrations", 1),
+        ("pas.v20_abs", 0x3fc33315ffcf35b1),
+        ("pas.v70_abs", 0x3fd2aaa548b2aebc),
+        ("pas.energy_j", 0x40e52dd8f7aef1ea),
+        ("credit_ondemand.transitions", 60),
+        ("credit_ondemand.energy_j", 0x40e4e879f2edc92a),
+        ("steady_pas.energy_j", 0x40b7f06db0da5e64),
+        ("multihost.energy_j", 0x40cb5de14eef40ee),
+        ("smthost.energy_j", 0x40b2ca636f676c31),
+    ];
+    let got = golden_values();
+    let table: String = got
+        .iter()
+        .map(|(name, bits)| format!("        (\"{name}\", {bits:#018x}),\n"))
+        .collect();
+    assert_eq!(
+        got, GOLDEN,
+        "golden bits moved; the current table:\n{table}"
+    );
+}

@@ -77,7 +77,7 @@ fn short_guest_process_finishes_while_long_one_continues() {
     );
     host.run_for(SimDuration::from_secs(10));
     // Inspect the guest through the VM's work source.
-    let work = &host.vm(vm).work;
+    let work = host.vm(vm).work();
     assert!(!work.is_finished(), "long process still running");
     let _ = (short, long);
     // 10 s at 50% = 5 s of fmax work: the 0.5 s job is long done, the
