@@ -13,7 +13,8 @@
 //! or **Poisson** with a per-request service demand (bursty — what
 //! makes the stock ondemand governor oscillate in Figure 3).
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use hypervisor::work::WorkSource;
 use simkernel::{SimDuration, SimRng, SimTime};
@@ -25,7 +26,8 @@ use crate::profile::Profile;
 /// Latency is measured queue-to-completion per unit of demand: the
 /// span between a request's arrival and the instant the VM finishes
 /// executing it — the end-to-end time httperf would report (minus
-/// network, which the paper's LAN setup makes negligible).
+/// network, which the paper's LAN setup makes negligible). Every field
+/// is exact: the same bits as sorting every sample and summing it.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct LatencyStats {
     /// Mean response time in seconds.
@@ -59,6 +61,11 @@ pub enum ArrivalModel {
 
 /// The httperf-driven web application.
 ///
+/// Completed requests are kept as a count per distinct response time
+/// in whole microseconds, the resolution of [`SimTime`], so the
+/// statistics stay exact while their memory grows with the number of
+/// distinct latencies, not with the number of requests.
+///
 /// # Example
 ///
 /// ```
@@ -85,7 +92,31 @@ pub struct WebApp {
     dropped_mcycles: f64,
     /// FIFO of in-flight demand: (arrival time, remaining mcycles).
     in_flight: VecDeque<(SimTime, f64)>,
-    latencies_s: Vec<f64>,
+    /// Completed requests per response time in microseconds.
+    latency_counts: HashMap<u64, usize, BuildHasherDefault<MicrosHasher>>,
+}
+
+/// One multiply per key. Latencies are not adversarial, so the keyed
+/// SipHash behind std's default hasher would buy nothing here.
+#[derive(Default)]
+struct MicrosHasher(u64);
+
+impl Hasher for MicrosHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        // The table indexes buckets by the low bits, which a product
+        // mixes worst; rotate the well-mixed high bits down.
+        self.0.rotate_left(26)
+    }
 }
 
 impl WebApp {
@@ -125,7 +156,7 @@ impl WebApp {
             served_mcycles: 0.0,
             dropped_mcycles: 0.0,
             in_flight: VecDeque::new(),
-            latencies_s: Vec::new(),
+            latency_counts: HashMap::default(),
         }
     }
 
@@ -167,21 +198,48 @@ impl WebApp {
     }
 
     /// Response-time statistics over everything served so far.
+    ///
+    /// Exact: bit for bit what sorting every sample would give. The
+    /// mean adds each distinct latency as many times as it occurred,
+    /// in ascending order, so it is the same float sum. Only the
+    /// distinct latencies are sorted, and they are all that is kept:
+    /// memory grows with distinct microsecond values, not requests.
     #[must_use]
     pub fn latency_stats(&self) -> LatencyStats {
-        if self.latencies_s.is_empty() {
+        let mut counts: Vec<(u64, usize)> = self
+            .latency_counts
+            .iter()
+            .map(|(&us, &n)| (us, n))
+            .collect();
+        counts.sort_unstable();
+        let Some(&(max_us, _)) = counts.last() else {
             return LatencyStats::default();
-        }
-        let mut sorted = self.latencies_s.clone();
-        sorted.sort_by(f64::total_cmp);
-        let mean = sorted.iter().sum::<f64>() / sorted.len() as f64;
-        let p95_idx = ((sorted.len() as f64) * 0.95).ceil() as usize - 1;
+        };
+        let secs = |us| SimDuration::from_micros(us).as_secs_f64();
+        let samples: usize = counts.iter().map(|&(_, n)| n).sum();
+        let sum: f64 = counts
+            .iter()
+            .flat_map(|&(us, n)| std::iter::repeat_n(secs(us), n))
+            .sum();
+        let p95_idx = ((samples as f64) * 0.95).ceil() as usize - 1;
+        let mut seen = 0;
+        let (p95_us, _) = counts
+            .iter()
+            .find(|&&(_, n)| {
+                seen += n;
+                seen > p95_idx
+            })
+            .expect("p95 index is below the sample count");
         LatencyStats {
-            mean_s: mean,
-            p95_s: sorted[p95_idx.min(sorted.len() - 1)],
-            max_s: *sorted.last().expect("non-empty"),
-            samples: sorted.len(),
+            mean_s: sum / samples as f64,
+            p95_s: secs(*p95_us),
+            max_s: secs(max_us),
+            samples,
         }
+    }
+
+    fn record_latency(&mut self, latency: SimDuration) {
+        *self.latency_counts.entry(latency.as_micros()).or_insert(0) += 1;
     }
 
     fn phase_rate(&self, now: SimTime) -> f64 {
@@ -253,8 +311,8 @@ impl WorkSource for WebApp {
             };
             if *remaining <= left + 1e-12 {
                 left -= *remaining;
-                self.latencies_s
-                    .push(now.duration_since(*arrived).as_secs_f64());
+                let latency = now.duration_since(*arrived);
+                self.record_latency(latency);
                 self.in_flight.pop_front();
             } else {
                 *remaining -= left;
@@ -303,6 +361,8 @@ impl WorkSource for WebApp {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
     use crate::profile::Intensity;
 
@@ -464,6 +524,107 @@ mod tests {
         let app = WebApp::new(exact_profile(), 500.0, 2500.0, ArrivalModel::Fluid)
             .with_queue_cap_secs(0.5);
         assert!((app.backlog_cap_mcycles() - 1250.0).abs() < 1e-9);
+    }
+
+    /// The statistics as computed before latencies were counted: every
+    /// sample kept, sorted and summed. The reference the counts must
+    /// match bit for bit.
+    fn sorted_reference(latencies_s: &[f64]) -> LatencyStats {
+        if latencies_s.is_empty() {
+            return LatencyStats::default();
+        }
+        let mut sorted = latencies_s.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let mean = sorted.iter().sum::<f64>() / sorted.len() as f64;
+        let p95_idx = ((sorted.len() as f64) * 0.95).ceil() as usize - 1;
+        LatencyStats {
+            mean_s: mean,
+            p95_s: sorted[p95_idx.min(sorted.len() - 1)],
+            max_s: *sorted.last().expect("non-empty"),
+            samples: sorted.len(),
+        }
+    }
+
+    /// Records `micros` into a web-app and checks its statistics against
+    /// the sorted reference, bit for bit.
+    fn assert_exact(micros: &[u64]) -> LatencyStats {
+        let mut app = WebApp::new(exact_profile(), 500.0, 2500.0, ArrivalModel::Fluid);
+        for &us in micros {
+            app.record_latency(SimDuration::from_micros(us));
+        }
+        let got = app.latency_stats();
+        let secs: Vec<f64> = micros
+            .iter()
+            .map(|&us| SimDuration::from_micros(us).as_secs_f64())
+            .collect();
+        let want = sorted_reference(&secs);
+        let bits = |s: &LatencyStats| {
+            (
+                s.mean_s.to_bits(),
+                s.p95_s.to_bits(),
+                s.max_s.to_bits(),
+                s.samples,
+            )
+        };
+        assert_eq!(bits(&got), bits(&want), "{} samples", micros.len());
+        got
+    }
+
+    /// A latency sequence of 1–5,000 samples built from runs of one
+    /// value: zero, under a millisecond, or anything up to 10 s; most
+    /// runs are one sample long, some are up to 2,000.
+    fn latency_sequences() -> impl Strategy<Value = Vec<u64>> {
+        let value = (0u8..3, 0u64..=10_000_000).prop_map(|(kind, us)| match kind {
+            0 => 0,
+            1 => us % 1_000,
+            _ => us,
+        });
+        let run = (value, 0u8..4, 1usize..=2_000)
+            .prop_map(|(us, kind, len)| (us, if kind == 0 { len } else { 1 }));
+        (1usize..=5_000, proptest::collection::vec(run, 1..=400)).prop_map(|(n, runs)| {
+            runs.into_iter()
+                .flat_map(|(us, len)| std::iter::repeat_n(us, len))
+                .cycle()
+                .take(n)
+                .collect()
+        })
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn latency_counts_match_sorted_samples(micros in latency_sequences()) {
+            assert_exact(&micros);
+        }
+    }
+
+    #[test]
+    fn latency_counts_match_at_p95_boundaries() {
+        // ceil(0.95 n) - 1 is index 0 for n = 1, 18 for n = 20 and 19
+        // for n = 21: each picks a different rank.
+        for (n, p95_us) in [(1u64, 1), (20, 19), (21, 20)] {
+            let ascending: Vec<u64> = (1..=n).collect();
+            let descending: Vec<u64> = (1..=n).rev().collect();
+            for micros in [ascending, descending] {
+                let stats = assert_exact(&micros);
+                assert_eq!(stats.p95_s, SimDuration::from_micros(p95_us).as_secs_f64());
+                assert_eq!(stats.samples, n as usize);
+            }
+            assert_exact(&vec![0; n as usize]);
+            assert_exact(&vec![10_000_000; n as usize]);
+        }
+    }
+
+    #[test]
+    fn latency_memory_grows_with_distinct_values_not_requests() {
+        let mut app = WebApp::new(exact_profile(), 500.0, 2500.0, ArrivalModel::Fluid);
+        let dt = SimDuration::from_micros(100);
+        for i in 0..1_000_000u64 {
+            let now = SimTime::from_micros(100 * (i + 1));
+            let demand = app.generate(now, dt);
+            app.on_progress(demand, now + SimDuration::from_micros(i % 1_000));
+        }
+        assert_eq!(app.latency_counts.len(), 1_000);
+        assert_eq!(app.latency_stats().samples, 1_000_000);
     }
 
     #[test]

@@ -489,6 +489,9 @@ fn golden_values() -> Vec<(&'static str, u64)> {
     golden.push(("pas.v20_abs", stats.vm_absolute_fraction(pas.v20).to_bits()));
     golden.push(("pas.v70_abs", stats.vm_absolute_fraction(pas.v70).to_bits()));
     golden.push(("pas.energy_j", pas.total_energy_j().to_bits()));
+    let qos = pas.host.vm_qos(pas.v20).expect("V20 is a web-app");
+    golden.push(("pas.v20_mean_latency_s", qos.mean_latency_s.to_bits()));
+    golden.push(("pas.v20_p95_latency_s", qos.p95_latency_s.to_bits()));
 
     // The same scenario under Credit + ondemand with Poisson arrivals.
     let mut credit = build(
@@ -504,6 +507,15 @@ fn golden_values() -> Vec<(&'static str, u64)> {
     golden.push((
         "credit_ondemand.energy_j",
         credit.total_energy_j().to_bits(),
+    ));
+    let qos = credit.host.vm_qos(credit.v20).expect("V20 is a web-app");
+    golden.push((
+        "credit_ondemand.v20_mean_latency_s",
+        qos.mean_latency_s.to_bits(),
+    ));
+    golden.push((
+        "credit_ondemand.v20_p95_latency_s",
+        qos.p95_latency_s.to_bits(),
     ));
 
     // A steady PAS host: V20 thrashing, V70 idle (the fused replay).
@@ -572,8 +584,12 @@ fn golden_bits_are_pinned() {
         ("pas.v20_abs", 0x3fc33315ffcf35b1),
         ("pas.v70_abs", 0x3fd2aaa548b2aebc),
         ("pas.energy_j", 0x40e52dd8f7aef1ea),
+        ("pas.v20_mean_latency_s", 0x3fb0dd87144fae91),
+        ("pas.v20_p95_latency_s", 0x3fb7024f6598e10d),
         ("credit_ondemand.transitions", 60),
         ("credit_ondemand.energy_j", 0x40e4e879f2edc92a),
+        ("credit_ondemand.v20_mean_latency_s", 0x4013d6cf42726d3f),
+        ("credit_ondemand.v20_p95_latency_s", 0x4020d04a515ce9e6),
         ("steady_pas.energy_j", 0x40b7f06db0da5e64),
         ("multihost.energy_j", 0x40cb5de14eef40ee),
         ("smthost.energy_j", 0x40b2ca636f676c31),
