@@ -1,5 +1,5 @@
-//! Micro-benchmarks of the hot paths: the event queue, the scheduler
-//! dispatch decision, the PAS planner, and one simulated host-second.
+//! Micro-benchmarks of the hot paths: the scheduler dispatch decision,
+//! the PAS planner, and one simulated host-second.
 
 use cpumodel::machines;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -8,23 +8,7 @@ use hypervisor::vm::{VmConfig, VmId};
 use hypervisor::work::ConstantDemand;
 use hypervisor::{HostConfig, SchedulerKind};
 use pas_core::{Credit, FreqPlanner};
-use simkernel::{EventQueue, SimDuration, SimTime};
-
-fn bench_event_queue(c: &mut Criterion) {
-    c.bench_function("event_queue/push_pop_1k", |b| {
-        b.iter(|| {
-            let mut q = EventQueue::new();
-            for i in 0u64..1000 {
-                q.push(SimTime::from_micros((i * 7919) % 10_000), i);
-            }
-            let mut sum = 0u64;
-            while let Some(ev) = q.pop() {
-                sum = sum.wrapping_add(ev.payload);
-            }
-            criterion::black_box(sum)
-        })
-    });
-}
+use simkernel::{SimDuration, SimTime};
 
 fn bench_scheduler_dispatch(c: &mut Criterion) {
     c.bench_function("credit/pick_charge_cycle", |b| {
@@ -85,7 +69,6 @@ fn bench_host_second(c: &mut Criterion) {
 
 criterion_group!(
     micro,
-    bench_event_queue,
     bench_scheduler_dispatch,
     bench_planner,
     bench_host_second

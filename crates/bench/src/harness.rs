@@ -2,11 +2,10 @@
 //!
 //! Runs a *fixed* suite of macro-benchmarks — single-host pi-app and
 //! web-app runs, [`cluster::Fleet`] epochs at three population sizes,
-//! one [`campaign`] sweep, an idle-heavy fleet measured with the
-//! idle-skip fast path both on and off, and the 96-VM fleet with the
-//! event tracer off and on (the tracing-overhead A/B) — with one
-//! warmup pass and `R` timed repetitions each, and reduces the
-//! wall-clock times to median/min/max per benchmark. The trace A/B
+//! one [`campaign`] sweep, the 96-VM fleet with the event tracer off
+//! and on (the tracing-overhead A/B), and datacenter-scale fleets —
+//! with one warmup pass and `R` timed repetitions each, and reduces
+//! the wall-clock times to median/min/max per benchmark. The trace A/B
 //! pair runs its repetitions interleaved (off, on, off, on, …) so the
 //! overhead ratio survives machine-noise drift; see
 //! [`Benchmark::interleaved_with_next`].
@@ -434,22 +433,6 @@ fn fleet_epochs(n: usize, quick: bool) {
     assert!(fleet.totals().energy_j > 0.0);
 }
 
-/// An idle-heavy fleet: two working VMs and 62 zero-demand VMs, so 16
-/// of 17 hosts are quiescent from the first epoch. Run with the
-/// idle-skip fast path on or off — the pair of benchmarks this feeds
-/// is the measured evidence for the fast path's wall-clock win.
-fn fleet_idle_heavy(quick: bool, fast: bool) {
-    let mut specs = vec![
-        VmSpec::new("busy0", 4.0, 0.30),
-        VmSpec::new("busy1", 4.0, 0.30),
-    ];
-    specs.extend((0..62).map(|i| VmSpec::new(format!("idle{i}"), 4.0, 0.0).with_credit_frac(0.15)));
-    let cfg = FleetConfig::performance_defaults().with_idle_fast_path(fast);
-    let mut fleet = Fleet::build(cfg, &specs);
-    fleet.run_epochs(if quick { 10 } else { 40 }, 4);
-    assert!(fleet.totals().energy_j > 0.0);
-}
-
 /// The 96-VM fleet from `fleet_epochs`, run with the event tracer
 /// disabled or enabled — the A/B pair behind the documented tracing
 /// overhead ceiling. The traced variant drains the merged trace at
@@ -468,19 +451,6 @@ fn fleet_traced(n: usize, quick: bool, traced: bool) {
         assert!(t.recorded() > 0, "a traced fleet records events");
         std::hint::black_box(t.events().len());
     }
-}
-
-/// The 96-VM fleet from `fleet_epochs`, run with the event-driven
-/// simulation core off or on — the A/B pair measuring what the fused
-/// steady-window replay and the next-event epoch skip buy on a mixed
-/// fleet. Results are bit-identical either way (the determinism suites
-/// enforce it); only wall-clock may differ.
-fn fleet_event_core(n: usize, quick: bool, on: bool) {
-    let specs = fleet_population(n);
-    let cfg = FleetConfig::pas_defaults().with_event_core(on);
-    let mut fleet = Fleet::build(cfg, &specs);
-    fleet.run_epochs(if quick { 3 } else { 10 }, 4);
-    assert!(fleet.totals().energy_j > 0.0);
 }
 
 /// A datacenter-scale fleet pass: a `hosts`-host population (four VMs
@@ -546,12 +516,6 @@ pub fn suite(quick: bool) -> Vec<Benchmark> {
             fleet_epochs(96, quick);
         }),
         Benchmark::new("campaign_sweep", "campaign", campaign_sweep),
-        Benchmark::new("fleet_idle_heavy_skip", "fleet", move || {
-            fleet_idle_heavy(quick, true);
-        }),
-        Benchmark::new("fleet_idle_heavy_exact", "fleet", move || {
-            fleet_idle_heavy(quick, false);
-        }),
         // Tracing overhead A/B on the 96-VM fleet: off first, then on,
         // so the pair reads top-to-bottom as baseline → instrumented.
         // Interleaved: the overhead ratio is single-digit percent,
@@ -562,19 +526,6 @@ pub fn suite(quick: bool) -> Vec<Benchmark> {
         .interleaved_with_next(),
         Benchmark::new("fleet_96vms_trace_on", "trace_overhead", move || {
             fleet_traced(96, quick, true);
-        }),
-        // Event-driven core A/B on the 96-VM fleet: off first, so the
-        // pair reads top-to-bottom as exact → event-driven and the
-        // pair statistic's sign matches the other pairs (negative =
-        // the event core is faster). Interleaved for the same reason
-        // as the tracing pair: the delta is small against sequential
-        // run-to-run drift.
-        Benchmark::new("fleet_96vms_event_off", "event_core", move || {
-            fleet_event_core(96, quick, false);
-        })
-        .interleaved_with_next(),
-        Benchmark::new("fleet_96vms_event_on", "event_core", move || {
-            fleet_event_core(96, quick, true);
         }),
         // Datacenter scale: wall-clock + RSS at 1k and 10k hosts.
         // Sketch variants first — see `fleet_scale` on why order
@@ -1124,14 +1075,12 @@ mod tests {
     }
 
     /// The suite definition itself: fixed names, the documented
-    /// minimum of six benchmarks, and the idle-skip A/B pair present.
+    /// minimum of six benchmarks, and the tracing A/B pair present.
     #[test]
     fn suite_shape_is_stable() {
         let s = suite(true);
         assert!(s.len() >= 6, "suite has {} benchmarks", s.len());
         let names: Vec<&str> = s.iter().map(|b| b.name).collect();
-        assert!(names.contains(&"fleet_idle_heavy_skip"));
-        assert!(names.contains(&"fleet_idle_heavy_exact"));
         assert!(names.contains(&"fleet_96vms_trace_off"));
         assert!(names.contains(&"fleet_96vms_trace_on"));
         assert!(names.contains(&"campaign_sweep"));

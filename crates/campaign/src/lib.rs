@@ -64,7 +64,7 @@ pub mod spec;
 pub mod sweep;
 
 pub use report::{CampaignReport, PointReport};
-pub use run::{PerfTotals, RunRecord, TracedRun};
+pub use run::{RunRecord, TracedRun};
 pub use spec::{CampaignError, CampaignSpec, ScenarioSpec};
 pub use sweep::{expand, DesignPoint, Expansion};
 
@@ -163,9 +163,7 @@ pub struct TracedCampaign {
     /// — the summed per-run worker time, whose ratio to `simulate`
     /// shows the parallel speedup — and the host hot-path phases
     /// `host_slice` / `sched_acct` / `governor` / `snapshot`, slices
-    /// of `runs_cpu` summed across every simulated host) and counters
-    /// (including `fused_slices`, the event core's fast-path
-    /// coverage).
+    /// of `runs_cpu` summed across every simulated host) and counters.
     pub profile: metrics::profile::ProfileReport,
 }
 
@@ -208,18 +206,17 @@ pub fn run_traced(
     });
     profiler.add_span_ms("runs_cpu", results.iter().map(|(_, ms)| ms).sum());
     // Host hot-path phase timings, summed across every run's hosts
-    // (see `run::PerfTotals`). These are slices of `runs_cpu`: how
-    // much of the worker time went to advancing VM slices versus each
-    // boundary kind, plus the event core's fused-slice coverage.
-    let mut perf = run::PerfTotals::default();
+    // (see `hypervisor::HostPerf`). These are slices of `runs_cpu`:
+    // how much of the worker time went to advancing VM slices versus
+    // each boundary kind.
+    let mut perf = hypervisor::HostPerf::default();
     for (r, _) in &results {
-        perf.merge(r.perf);
+        perf.absorb(r.perf);
     }
     profiler.add_span_ms("host_slice", perf.host_slice_ns as f64 / 1e6);
     profiler.add_span_ms("sched_acct", perf.sched_acct_ns as f64 / 1e6);
     profiler.add_span_ms("governor", perf.governor_ns as f64 / 1e6);
     profiler.add_span_ms("snapshot", perf.snapshot_ns as f64 / 1e6);
-    profiler.count("fused_slices", perf.fused_slices);
     profiler.count("runs", results.len() as u64);
     profiler.count(
         "trace_events",

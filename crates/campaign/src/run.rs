@@ -16,7 +16,7 @@
 use cluster::fleet::{Fleet, FleetConfig};
 use cluster::placement::{HostCapacity, VmSpec as ClusterVmSpec};
 use cluster::MigrationCostModel;
-use hypervisor::host::HostConfig;
+use hypervisor::host::{HostConfig, HostPerf};
 use hypervisor::vm::VmConfig;
 use hypervisor::work::{ConstantDemand, WorkSource};
 use pas_core::Credit;
@@ -46,45 +46,9 @@ pub struct TracedRun {
     /// The run's merged, time-ordered event trace.
     pub trace: trace::Trace,
     /// Host hot-path wall-clock timings, summed over the run's hosts.
-    /// Measured, not simulated — keep out of byte-compared artefacts.
-    pub perf: PerfTotals,
-}
-
-/// Host hot-path phase timings for one run, summed over its hosts
-/// (see [`hypervisor::HostPerf`]), plus the number of slices the
-/// event core committed through its fused replay loop. The campaign
-/// folds these into its `<name>-profile.json` report.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PerfTotals {
-    /// Time advancing VM slices, in nanoseconds.
-    pub host_slice_ns: u64,
-    /// Time in scheduler accounting boundaries, in nanoseconds.
-    pub sched_acct_ns: u64,
-    /// Time in DVFS governor boundaries, in nanoseconds.
-    pub governor_ns: u64,
-    /// Time taking statistics snapshots, in nanoseconds.
-    pub snapshot_ns: u64,
-    /// Slices committed by the fused replay loop (coverage counter).
-    pub fused_slices: u64,
-}
-
-impl PerfTotals {
-    fn absorb(&mut self, perf: hypervisor::HostPerf, fused_slices: u64) {
-        self.host_slice_ns += perf.host_slice_ns;
-        self.sched_acct_ns += perf.sched_acct_ns;
-        self.governor_ns += perf.governor_ns;
-        self.snapshot_ns += perf.snapshot_ns;
-        self.fused_slices += fused_slices;
-    }
-
-    /// Adds another run's totals into this one (campaign totals).
-    pub fn merge(&mut self, other: PerfTotals) {
-        self.host_slice_ns += other.host_slice_ns;
-        self.sched_acct_ns += other.sched_acct_ns;
-        self.governor_ns += other.governor_ns;
-        self.snapshot_ns += other.snapshot_ns;
-        self.fused_slices += other.fused_slices;
-    }
+    /// Measured, not simulated — keep out of byte-compared artefacts;
+    /// the campaign folds them into its `<name>-profile.json` report.
+    pub perf: HostPerf,
 }
 
 /// The time-scale factor: `--quick` runs are 10× shorter (floored at
@@ -234,7 +198,7 @@ fn run_host(
     quick: bool,
     trace_capacity: Option<usize>,
     profile: bool,
-) -> (Vec<(String, f64)>, Option<trace::Trace>, PerfTotals) {
+) -> (Vec<(String, f64)>, Option<trace::Trace>, HostPerf) {
     let scale = time_factor(sc.duration_s, quick);
     let total_s = sc.duration_s * scale;
     let mut cfg = HostConfig::optiplex_defaults(sc.scheduler.kind())
@@ -308,8 +272,7 @@ fn run_host(
         ("mean_freq_mhz".to_owned(), mean_freq),
     ];
     scalars.extend(per_vm);
-    let mut perf = PerfTotals::default();
-    perf.absorb(host.perf(), host.fused_slices());
+    let perf = host.perf();
     let trace = host
         .take_tracer()
         .map(|tracer| trace::Trace::merge(vec![tracer]));
@@ -339,7 +302,7 @@ fn run_fleet(
     quick: bool,
     trace_capacity: Option<usize>,
     profile: bool,
-) -> (Vec<(String, f64)>, Option<trace::Trace>, PerfTotals) {
+) -> (Vec<(String, f64)>, Option<trace::Trace>, HostPerf) {
     let scale = time_factor(sc.duration_s, quick);
     let total_s = sc.duration_s * scale;
     let epochs = ((total_s / sc.epoch_s).round() as usize).max(1);
@@ -359,8 +322,6 @@ fn run_fleet(
         cost: MigrationCostModel::gigabit_defaults(),
         epoch: SimDuration::from_secs_f64(sc.epoch_s),
         spare_hosts: sc.spare_hosts,
-        idle_fast_path: true,
-        event_core: true,
         sharding: sc.shards.map(cluster::ShardConfig::new),
         // Campaigns only consume scalar reductions, so every fleet
         // run takes the bounded-statistics path: mean load from the
@@ -381,9 +342,7 @@ fn run_fleet(
     // replicas and design points, which is both simpler and fuller.
     fleet.run_epochs(epochs, 1);
     let totals = fleet.totals();
-    let (host_perf, fused) = fleet.perf_totals();
-    let mut perf = PerfTotals::default();
-    perf.absorb(host_perf, fused);
+    let (perf, _) = fleet.perf_totals();
     let trace = fleet.take_trace();
     let sketch = fleet.load_sketch();
 

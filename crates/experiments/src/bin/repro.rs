@@ -392,10 +392,9 @@ fn run_trace_summary(args: &Args) -> ExitCode {
 }
 
 /// Runs `repro bench`: the fixed macro-benchmark suite from
-/// `pas_bench::harness`, a stdout table plus the idle-skip speedup
-/// and the tracing-overhead A/B, and `BENCH_<date>.json` written to
-/// `--out DIR` (default: the current directory, conventionally the
-/// repo root).
+/// `pas_bench::harness`, a stdout table plus the tracing-overhead
+/// A/B, and `BENCH_<date>.json` written to `--out DIR` (default: the
+/// current directory, conventionally the repo root).
 fn run_bench(args: &Args) -> ExitCode {
     if args.names.len() > 1 {
         eprintln!("error: `repro bench` takes no positional arguments");
@@ -404,29 +403,8 @@ fn run_bench(args: &Args) -> ExitCode {
     let quick = args.fidelity == Fidelity::Quick;
     let report = pas_bench::harness::run_suite(quick);
     print!("{}", report.table());
-    // The suite runs the same idle-heavy fleet with the idle-skip
-    // fast path on and off; surface that A/B directly.
-    let median_of = |name: &str| {
-        report
-            .benchmarks
-            .iter()
-            .find(|b| b.name == name)
-            .map(|b| b.median_ms)
-    };
-    if let (Some(skip), Some(exact)) = (
-        median_of("fleet_idle_heavy_skip"),
-        median_of("fleet_idle_heavy_exact"),
-    ) {
-        if skip > 0.0 {
-            println!(
-                "idle-skip fast path on the idle-heavy fleet: \
-                 {exact:.2} ms -> {skip:.2} ms ({:.2}x)",
-                exact / skip
-            );
-        }
-    }
-    // Likewise the tracer A/B on the 96-VM fleet: the measured cost
-    // of `--trace`, and the evidence the off path stays untouched.
+    // The tracer A/B on the 96-VM fleet: the measured cost of
+    // `--trace`, and the evidence the off path stays untouched.
     // The pair runs interleaved, so its paired statistic (the median
     // per-repetition ratio) is the number to read — not the ratio of
     // the arms' medians, which drift-noise can swing either way.

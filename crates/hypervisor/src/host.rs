@@ -13,14 +13,14 @@
 
 use cpumodel::Cpu;
 use governors::{CpuFreq, Governor};
-use simkernel::{SimDuration, SimTime, WakeHeap, WakeKind};
+use simkernel::{SimDuration, SimTime};
 use trace::{EventKind, FreqCause, Record as _, Tracer};
 
 use crate::sched::{
     Credit2Scheduler, CreditScheduler, PasScheduler, SchedCtx, Scheduler, SedfScheduler,
 };
 use crate::stats::HostStats;
-use crate::vm::{Vm, VmConfig, VmId, MIN_RUNNABLE_MCYCLES};
+use crate::vm::{Vm, VmConfig, VmId};
 use crate::work::WorkSource;
 
 /// Which hypervisor scheduler the host runs.
@@ -65,20 +65,6 @@ pub struct HostConfig {
     /// PAS planner headroom override, percent (ablation; the paper's
     /// Listing 1.1 uses none). Ignored for other schedulers.
     pub pas_headroom_pct: Option<f64>,
-    /// Whether [`Host::run_until`] may jump quiescent hosts straight
-    /// to the next period boundary (see [`Host::is_quiescent`]). The
-    /// jump is bit-identical to the slice-exact path; the switch
-    /// exists so tests and benchmarks can compare the two.
-    pub idle_fast_path: bool,
-    /// Whether the host advances boundary windows through the
-    /// event-driven core: the window loop hoists the per-slice
-    /// quiescence scan and, when the scheduler exposes a Credit core
-    /// and the pick provably cannot change, replays repeated identical
-    /// quantum slices without re-running the scan
-    /// (see `Host::run_fused`). Bit-identical to the per-slice path by
-    /// construction; the switch exists for the A/B benchmarks and
-    /// equivalence tests.
-    pub event_core: bool,
 }
 
 impl HostConfig {
@@ -96,23 +82,7 @@ impl HostConfig {
             sample_period: SimDuration::from_secs(10),
             pas_smoothing_window: None,
             pas_headroom_pct: None,
-            idle_fast_path: true,
-            event_core: true,
         }
-    }
-
-    /// Enables or disables the idle-skip fast path (on by default).
-    #[must_use]
-    pub fn with_idle_fast_path(mut self, on: bool) -> Self {
-        self.idle_fast_path = on;
-        self
-    }
-
-    /// Enables or disables the event-driven core (on by default).
-    #[must_use]
-    pub fn with_event_core(mut self, on: bool) -> Self {
-        self.event_core = on;
-        self
     }
 
     /// Overrides PAS's load-smoothing window (the paper's footnote 5
@@ -207,16 +177,10 @@ impl HostConfig {
             next_acct: SimTime::ZERO + acct_period,
             next_gov: SimTime::ZERO + gov_period,
             next_sample: SimTime::ZERO + self.sample_period,
-            idle_fast_path: self.idle_fast_path,
-            event_core: self.event_core,
             tracer: None,
             trace_ids: Vec::new(),
             last_pick: None,
             runnable_scratch: Vec::new(),
-            hot: HotVms::default(),
-            wakes: WakeHeap::new(),
-            fused_slices: 0,
-            fuse_backoff: 0,
             profiling: false,
             perf: HostPerf::default(),
         }
@@ -270,7 +234,6 @@ pub struct Host {
     next_acct: SimTime,
     next_gov: SimTime,
     next_sample: SimTime,
-    idle_fast_path: bool,
     // Tracing is opt-in: `None` (the default) keeps the hot path to a
     // single branch per site, pinned by the `trace_overhead` bench.
     tracer: Option<Box<Tracer>>,
@@ -286,22 +249,6 @@ pub struct Host {
     // hottest path in the workspace. Capacity is retained across
     // slices; contents are rebuilt each slice.
     runnable_scratch: Vec<VmId>,
-    event_core: bool,
-    // Per-window flattened demand model (see `HotVms`); rebuilt at
-    // each boundary window, allocation retained across windows.
-    hot: HotVms,
-    // Per-forecast wake heap (see `Host::next_event`); rebuilt on
-    // demand, allocation retained across rebuilds.
-    wakes: WakeHeap,
-    // Slices committed by the fused replay loop, cumulative. Purely
-    // observational (tests prove the fast path engages; profiling
-    // reports coverage) — never consulted by the simulation.
-    fused_slices: u64,
-    // Windows left before the fused loop probes again after a probe
-    // that committed nothing (see `FUSE_PROBE_BACKOFF`). Pure pacing
-    // state: it decides when the fast path is *attempted*, never what
-    // any slice computes, so results are unaffected.
-    fuse_backoff: u16,
     // Wall-clock self-profiling (see `HostPerf`). Off by default so
     // the hot path pays one branch, never a clock read.
     profiling: bool,
@@ -318,9 +265,8 @@ pub struct Host {
 /// crate, so these are raw counters; callers convert to profile spans.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct HostPerf {
-    /// Time advancing VM slices (both the fused window replay and the
-    /// exact slice loop). Timed per boundary window on the event core,
-    /// per slice on the legacy loop.
+    /// Time advancing VM slices through the exact slice loop, timed
+    /// once per boundary window.
     pub host_slice_ns: u64,
     /// Time in the scheduler's accounting boundary (credit refill, PAS
     /// cap/frequency decisions).
@@ -339,50 +285,6 @@ impl HostPerf {
         self.governor_ns += other.governor_ns;
         self.snapshot_ns += other.snapshot_ns;
     }
-}
-
-/// How many boundary windows the fused loop sits out after a probe
-/// that committed no slices. Hosts where fusing cannot apply (several
-/// concurrently runnable VMs, caps below the quantum) would otherwise
-/// pay an extra runnable scan per slice for nothing; with backoff the
-/// probe cost is amortised to ~one scan per this many windows, while
-/// hosts that do fuse keep probing every window (a successful probe
-/// resets the pacing).
-const FUSE_PROBE_BACKOFF: u16 = 8;
-
-/// Struct-of-arrays sidecar for the fused window loop: the per-VM
-/// demand added per quantum, flattened into plain floats for one
-/// boundary window. Valid for a whole window because every input is
-/// pinned between boundaries: steady rates are constant by the
-/// [`WorkSource::steady_rate_mcps`] contract, and exhaustion is
-/// absorbing by the [`WorkSource::demand_exhausted`] contract.
-/// Runnability is read from the [`Vm`]s, whose cached demand model
-/// answers it for steady sources, and backlogs stay authoritative
-/// there too — the fused loop reads and writes `Vm::backlog_mcycles`
-/// directly, so there is no state to re-synchronise on fallback.
-#[derive(Default)]
-struct HotVms {
-    /// Per VM: demand added per quantum (`rate · quantum`), `0.0` for
-    /// exhausted sources.
-    add: Vec<f64>,
-    /// Indices of VMs with `add > 0`: the only VMs whose backlog (and
-    /// hence runnability) can change during a window without running.
-    growers: Vec<u32>,
-    /// `false` if any VM is neither steady nor exhausted — its
-    /// `generate` must be called per slice, so the window cannot be
-    /// replayed.
-    fusable: bool,
-    /// `work_capacity(quantum)` at the window's P-state.
-    cap_mc: f64,
-    /// Effective mega-cycles per second at the window's P-state.
-    mcps: f64,
-    /// The quantum in seconds.
-    qs: f64,
-    /// The quantum re-rounded through `from_secs_f64`, as `charge`
-    /// receives it on the exact path.
-    busy_q: SimDuration,
-    /// Absolute-load contribution of one fully-busy quantum.
-    abs_q: f64,
 }
 
 impl Host {
@@ -417,13 +319,13 @@ impl Host {
         &self.stats
     }
 
-    /// Cumulative count of scheduling slices committed by the fused
-    /// replay loop (see `HostConfig::event_core`). Observational only:
-    /// tests use it to prove the fast path engages, and profiling
-    /// reports it as coverage. Zero when the event core is off.
+    /// Always 0: every slice runs through the exact slice loop. The
+    /// accessor stays so benchmark readers keep one shape; exact
+    /// steady-state skipping (ROADMAP item 6) will count the slices it
+    /// skips here.
     #[must_use]
     pub fn fused_slices(&self) -> u64 {
-        self.fused_slices
+        0
     }
 
     /// Turns wall-clock phase profiling on or off (see [`HostPerf`]).
@@ -626,28 +528,27 @@ impl Host {
             // an infinite loop in exactly the --release builds the
             // benchmarks run.
             assert!(boundary > self.now, "boundary must advance");
-            if self.idle_fast_path && self.is_quiescent() {
-                // Idle-skip fast path: a quiescent host produces no VM
-                // activity before the next boundary, so the per-slice
-                // machinery (runnable scan, scheduler pick, per-VM
-                // refill) is all no-ops. The only observable effect of
-                // the gap is idle energy accounting — and the exact
-                // path covers an empty gap with a single slice, so one
-                // `account` call here is bit-identical, not just
-                // approximately equal. Boundaries (accounting,
-                // governor, snapshots) still fire one by one above.
-                self.cpu.account(0.0, boundary - self.now);
-                self.now = boundary;
-            } else {
-                let t0 = self.profiling.then(std::time::Instant::now);
-                if self.event_core {
-                    self.advance_window(boundary);
-                } else {
-                    self.advance_one_slice(boundary);
+            let t0 = self.profiling.then(std::time::Instant::now);
+            while self.now < boundary {
+                if self.is_quiescent() {
+                    // Idle skip: a quiescent host produces no VM
+                    // activity before the boundary, so the per-slice
+                    // machinery (runnable scan, scheduler pick, per-VM
+                    // refill) is all no-ops. The only observable
+                    // effect of the gap is idle energy accounting —
+                    // and the slice loop covers an empty gap with a
+                    // single slice, so one `account` call here is
+                    // bit-identical, not just approximately equal.
+                    // Unlike that slice, the skip records no `None`
+                    // pick in a trace.
+                    self.cpu.account(0.0, boundary - self.now);
+                    self.now = boundary;
+                    break;
                 }
-                if let Some(t0) = t0 {
-                    self.perf.host_slice_ns += t0.elapsed().as_nanos() as u64;
-                }
+                self.advance_one_slice(boundary);
+            }
+            if let Some(t0) = t0 {
+                self.perf.host_slice_ns += t0.elapsed().as_nanos() as u64;
             }
         }
         self.handle_boundaries();
@@ -864,275 +765,6 @@ impl Host {
             }
         }
         self.now = slice_end;
-    }
-
-    /// Rebuilds the [`HotVms`] sidecar for the window starting at
-    /// `self.now`. One pass of virtual calls per window instead of
-    /// several per slice.
-    fn refresh_hot(&mut self) {
-        let hot = &mut self.hot;
-        hot.add.clear();
-        hot.growers.clear();
-        hot.fusable = true;
-        let qs = self.quantum.as_secs_f64();
-        hot.cap_mc = self.cpu.work_capacity(self.quantum);
-        hot.mcps = self.cpu.pstates().state(self.cpu.pstate()).effective_mcps();
-        hot.qs = qs;
-        hot.busy_q = SimDuration::from_secs_f64(qs);
-        hot.abs_q = qs * self.cpu.ratio() * self.cpu.cf();
-        for (i, vm) in self.vms.iter().enumerate() {
-            let add = match vm.steady_rate_mcps() {
-                Some(rate) => rate * qs,
-                None if vm.demand_exhausted() => 0.0,
-                None => {
-                    // A source whose generate() must run every slice
-                    // (stepped demand, open-loop injectors): the window
-                    // cannot be replayed. Stop classifying — the
-                    // sidecar is not consulted on the unfusable path.
-                    hot.fusable = false;
-                    return;
-                }
-            };
-            hot.add.push(add);
-            if add > 0.0 {
-                hot.growers.push(i as u32);
-            }
-        }
-    }
-
-    /// Advances one whole boundary window `[self.now, boundary)`
-    /// through the event-driven core: replay fused steady stretches
-    /// where provably equivalent, fall back to the exact per-slice
-    /// loop the moment equivalence cannot be shown. Every observable
-    /// effect is bit-identical to calling [`Host::advance_one_slice`]
-    /// in a loop.
-    fn advance_window(&mut self, boundary: SimTime) {
-        // Probe pacing: attempting to fuse costs a sidecar rebuild and
-        // a runnable scan, so the probe runs once per window — at the
-        // window's start, where a steady stretch begins with fresh
-        // credit — and a host whose probe found nothing to fuse sits
-        // out a few windows before trying again. Purely a matter of
-        // *when* the fast path is attempted — per-host and
-        // deterministic, so results stay invariant across jobs and
-        // shards.
-        if self.sched.credit_core().is_some() {
-            if self.fuse_backoff == 0 {
-                self.refresh_hot();
-                if self.hot.fusable {
-                    let before = self.fused_slices;
-                    self.run_fused(boundary);
-                    if self.fused_slices == before {
-                        self.fuse_backoff = FUSE_PROBE_BACKOFF;
-                    }
-                }
-            } else {
-                self.fuse_backoff -= 1;
-            }
-        }
-        // Whatever the probe could not cover runs through the exact
-        // per-slice loop below, replicating `run_until`'s legacy body.
-        loop {
-            if self.now >= boundary {
-                return;
-            }
-            // Replicate `run_until`'s between-slice idle skip: a host
-            // that turns quiescent mid-window (a batch completing)
-            // must cover the gap without the per-slice machinery —
-            // crucially, without the traced pick-change record a
-            // `None` pick would emit.
-            if self.idle_fast_path && self.is_quiescent() {
-                self.cpu.account(0.0, boundary - self.now);
-                self.now = boundary;
-                return;
-            }
-            // Exact slice for anything the fused loop could not prove:
-            // pick changes, partial slices, cap exhaustion, drains.
-            // State may be steady again afterwards, so re-try fusing.
-            self.advance_one_slice(boundary);
-        }
-    }
-
-    /// Replays consecutive *identical* quantum slices without
-    /// re-running the runnable scan, the scheduler pick or the per-VM
-    /// refill calls. Commits zero or more slices and returns as soon
-    /// as any precondition fails.
-    ///
-    /// Bit-exactness argument: a committed iteration performs exactly
-    /// the operations `advance_one_slice` would, in the same order, on
-    /// the same values:
-    /// * the pick is forced — exactly one VM is runnable, its
-    ///   `max_slice ≥ quantum > 0` implies cap eligibility, so
-    ///   Credit's `pick_next` must return it; `repick_commit` replays
-    ///   the cursor advance;
-    /// * the slice is *computed* per iteration with the legacy
-    ///   expression (horizon / quantum / cap / drain minimum, including
-    ///   `from_secs_f64` rounding) and required to equal the quantum —
-    ///   equality is checked, never derived;
-    /// * refills are replayed as `backlog += rate · quantum`, the
-    ///   bit-exact value `generate` must return for steady sources;
-    ///   exhausted sources add exactly `0.0`, and `x + 0.0` preserves
-    ///   bits for the non-negative backlogs the host maintains, so
-    ///   zero-add refills are skipped outright;
-    /// * the picked VM executes through the real [`Vm::execute`] with
-    ///   `capacity = work_capacity(quantum)`; requiring
-    ///   `backlog ≥ capacity` beforehand makes `done == capacity`
-    ///   bitwise, hence `busy_frac == 1.0` exactly and the hoisted
-    ///   charge/energy/stats values equal the per-slice computation;
-    /// * with a tracer installed, fusing additionally requires the
-    ///   recorded pick to already be this VM, so the steady stretch
-    ///   emits the same (empty) record stream as the exact path; the
-    ///   completion edge is re-checked per iteration.
-    fn run_fused(&mut self, boundary: SimTime) {
-        debug_assert!(self.hot.fusable);
-        let cap_mc = self.hot.cap_mc;
-        if cap_mc <= 0.0 {
-            return;
-        }
-        let mcps = self.hot.mcps;
-        let qs = self.hot.qs;
-        let busy_q = self.hot.busy_q;
-        let abs_q = self.hot.abs_q;
-        // Exactly one runnable VM.
-        let mut pick = None;
-        for (i, vm) in self.vms.iter().enumerate() {
-            if vm.is_runnable() {
-                if pick.is_some() {
-                    return; // two runnable VMs: the pick can alternate
-                }
-                pick = Some(i);
-            }
-        }
-        let Some(p) = pick else { return };
-        let p_id = VmId(p);
-        if self.tracer.is_some() && self.last_pick != Some(p_id) {
-            return; // the exact path emits a pick record first
-        }
-        // Borrows split per field: the leased core only holds
-        // `self.sched`, leaving vms/cpu/stats/tracer/now free.
-        let Some(core) = self.sched.credit_core() else {
-            return;
-        };
-        loop {
-            let horizon = boundary - self.now;
-            if self.quantum > horizon {
-                return; // the window tail is shorter than a quantum
-            }
-            // Growers must stay below the runnable threshold through
-            // this slice's scan; every other VM's backlog is unchanged
-            // since the entry scan.
-            for &g in &self.hot.growers {
-                let g = g as usize;
-                if g != p && self.vms[g].backlog_mcycles >= MIN_RUNNABLE_MCYCLES {
-                    return;
-                }
-            }
-            if !self.vms[p].is_runnable() {
-                return;
-            }
-            let b_p = self.vms[p].backlog_mcycles;
-            // The slice the exact path would take, computed with its
-            // exact float operations, must be one full quantum.
-            let cap_slice = core.max_slice(p_id, self.now);
-            let drain_secs = b_p / mcps;
-            let drain = if drain_secs.is_finite() {
-                SimDuration::from_secs_f64(drain_secs.min(horizon.as_secs_f64()))
-            } else {
-                horizon
-            };
-            if horizon.min(self.quantum).min(cap_slice).min(drain) != self.quantum {
-                return;
-            }
-            // The refilled backlog must cover the quantum's capacity
-            // so `execute` runs the VM fully busy.
-            let b_new = b_p + self.hot.add[p];
-            if b_new < cap_mc {
-                return;
-            }
-
-            // Commit: the legacy slice's operations in its order.
-            self.fused_slices += 1;
-            let slice_end = self.now + self.quantum;
-            core.repick_commit(p_id);
-            for &g in &self.hot.growers {
-                let g = g as usize;
-                if g != p {
-                    self.vms[g].backlog_mcycles += self.hot.add[g];
-                }
-            }
-            self.vms[p].backlog_mcycles = b_new;
-            let done = self.vms[p].execute(cap_mc, slice_end);
-            debug_assert_eq!(done.to_bits(), cap_mc.to_bits());
-            core.charge(p_id, busy_q);
-            self.cpu.account(1.0, self.quantum);
-            self.stats.on_slice(Some((p_id, qs, abs_q)));
-            if self.tracer.is_some() && self.vms[p].is_complete() {
-                let name = self.vms[p].name_tag.clone();
-                let at_s = slice_end.as_secs_f64();
-                if let Some(t) = self.tracer.as_mut() {
-                    t.record(at_s, EventKind::VmComplete { vm: name });
-                }
-            }
-            self.now = slice_end;
-        }
-    }
-
-    /// Rebuilds the wake heap with one entry per pending wake —
-    /// optionally the control boundaries (accounting, governor,
-    /// snapshot), plus per VM the instant it can next hold the CPU:
-    /// a runnable VM drains from now; a dormant steady source becomes
-    /// runnable once `(threshold − backlog) / rate` elapses; an
-    /// exhausted source never wakes again; an unpredictable source
-    /// wakes conservatively now. Returns the earliest wake, capped at
-    /// `horizon`.
-    fn rebuild_wakes(&mut self, horizon: SimTime, with_boundaries: bool) -> SimTime {
-        self.wakes.clear();
-        if with_boundaries {
-            self.wakes.push(self.next_acct, WakeKind::Acct);
-            if self.cpufreq.is_some() {
-                self.wakes.push(self.next_gov, WakeKind::Governor);
-            }
-            self.wakes.push(self.next_sample, WakeKind::Sample);
-        }
-        let span_s = (horizon - self.now.min(horizon)).as_secs_f64();
-        for (i, vm) in self.vms.iter().enumerate() {
-            let idx = i as u32;
-            if vm.is_runnable() {
-                self.wakes.push(self.now, WakeKind::VmDrain(idx));
-            } else if vm.demand_exhausted() {
-                // Exhaustion is absorbing and the backlog is below the
-                // runnable threshold: this VM never wakes again.
-            } else {
-                match vm.steady_rate_mcps() {
-                    Some(rate) if rate > 0.0 => {
-                        let deficit = (MIN_RUNNABLE_MCYCLES - vm.backlog_mcycles).max(0.0);
-                        let dt = SimDuration::from_secs_f64((deficit / rate).min(span_s));
-                        self.wakes.push(self.now + dt, WakeKind::VmArrival(idx));
-                    }
-                    Some(_) => {} // zero rate: never generates demand
-                    None => self.wakes.push(self.now, WakeKind::VmArrival(idx)),
-                }
-            }
-        }
-        self.wakes.peek_time().map_or(horizon, |t| t.min(horizon))
-    }
-
-    /// The earliest instant at which anything can happen on this host
-    /// — a control boundary or VM activity — capped at `horizon`.
-    /// A deterministic forecast over current state; computing it does
-    /// not advance or otherwise change the simulation.
-    pub fn next_event(&mut self, horizon: SimTime) -> SimTime {
-        self.rebuild_wakes(horizon, true)
-    }
-
-    /// The earliest instant at which any VM can execute work, capped
-    /// at `horizon`; `horizon` itself means "no VM activity before
-    /// then". Control boundaries are excluded — they fire regardless
-    /// but are cheap to process. The fleet's next-event epoch runner
-    /// uses this to keep dormant hosts off the worker pool; the
-    /// forecast only routes *where* a host simulates, never what it
-    /// computes, so a conservative estimate cannot change results.
-    pub fn next_vm_wake(&mut self, horizon: SimTime) -> SimTime {
-        self.rebuild_wakes(horizon, false)
     }
 }
 
@@ -1400,16 +1032,17 @@ mod tests {
         assert_eq!(run(true), run(false), "tracing must be observation-only");
     }
 
-    /// The idle-skip fast path must be *bit-identical* to the
-    /// slice-exact path, not merely close: energy accounting, loads
-    /// and snapshots all agree to the last bit on a host that turns
-    /// quiescent mid-run.
+    /// The idle skip in [`Host::run_until`] must be *bit-identical*
+    /// to the exact slice loop, not merely close: energy accounting,
+    /// loads and snapshots all agree to the last bit on a host that
+    /// turns quiescent mid-run. The reference drives the slice loop
+    /// with no skip, as [`Host::run_until_vm_finished`] does. Traces
+    /// are not compared: the skip deliberately records no `None` pick.
     #[test]
     fn idle_fast_path_is_bit_exact() {
-        let run = |fast: bool| {
+        let build = || {
             let mut host = HostConfig::optiplex_defaults(SchedulerKind::Credit)
                 .with_governor(Box::new(StableOndemand::new()))
-                .with_idle_fast_path(fast)
                 .build();
             let total = 5.0 * host.fmax_mcps();
             host.add_vm(
@@ -1420,13 +1053,22 @@ mod tests {
                 VmConfig::new("spare", Credit::percent(20.0)),
                 Box::new(crate::work::Idle),
             );
-            // ~10 s busy, then ~50 s quiescent.
-            host.run_for(SimDuration::from_secs(60));
             host
         };
-        let fast = run(true);
-        let exact = run(false);
+        // ~10 s busy, then ~50 s quiescent.
+        let end = SimTime::from_secs(60);
+        let mut fast = build();
+        fast.run_until(end);
+        let mut exact = build();
+        while exact.now() < end {
+            exact.handle_boundaries();
+            let boundary = exact.next_boundary(end);
+            exact.advance_one_slice(boundary);
+        }
+        exact.handle_boundaries();
+        exact.stats.set_elapsed(exact.now());
         assert!(fast.is_quiescent() && exact.is_quiescent());
+        assert_eq!(fast.now(), exact.now());
         assert_eq!(
             fast.cpu().energy().joules().to_bits(),
             exact.cpu().energy().joules().to_bits(),
@@ -1462,39 +1104,13 @@ mod tests {
         )
     }
 
-    /// The fused replay's sweet spot — one saturating uncapped VM
-    /// under Credit (a capped VM's per-period allowance sits below the
-    /// quantum, so caps force partial slices) — must be bit-identical
-    /// to the slice-exact path, and the fast path must actually
-    /// engage.
-    #[test]
-    fn event_core_is_bit_exact_for_thrashing_credit_vm() {
-        let run = |on: bool| {
-            let mut host = HostConfig::optiplex_defaults(SchedulerKind::Credit)
-                .with_event_core(on)
-                .build();
-            let d = demand(&host, 1.0);
-            host.add_vm(VmConfig::new("hog", Credit::ZERO), d);
-            host.run_for(SimDuration::from_secs(60));
-            host
-        };
-        let on = run(true);
-        let off = run(false);
-        assert!(on.fused_slices() > 0, "fused path never engaged");
-        assert_eq!(off.fused_slices(), 0);
-        assert_eq!(fingerprint(&on), fingerprint(&off));
-        assert_eq!(on.stats().snapshots(), off.stats().snapshots());
-    }
-
     /// Profiling only reads the clock around already-scheduled work:
     /// a profiled run must be bit-identical to an unprofiled one, and
     /// the phase counters must actually accumulate.
     #[test]
     fn profiling_is_bit_exact_and_counters_accumulate() {
         let run = |profiled: bool| {
-            let mut host = HostConfig::optiplex_defaults(SchedulerKind::Pas)
-                .with_event_core(true)
-                .build();
+            let mut host = HostConfig::optiplex_defaults(SchedulerKind::Pas).build();
             host.set_profiling(profiled);
             let d = demand(&host, 1.0);
             host.add_vm(VmConfig::new("v20", Credit::percent(20.0)), d);
@@ -1520,153 +1136,5 @@ mod tests {
             (0, 0, 0, 0),
             "profiling off must not read the clock"
         );
-    }
-
-    /// PAS rewrites caps and the frequency at every accounting
-    /// boundary; the fused loop must replay identically between those
-    /// boundaries. The trickle VM stays dormant for ~12 windows at a
-    /// time, then crosses the runnable threshold *mid-window* — the
-    /// grower re-check must bail the fused loop out at exactly the
-    /// slice where the exact path would schedule it.
-    #[test]
-    fn event_core_is_bit_exact_under_pas_with_mixed_vms() {
-        let run = |on: bool| {
-            let mut host = HostConfig::optiplex_defaults(SchedulerKind::Pas)
-                .with_event_core(on)
-                .build();
-            let d1 = demand(&host, 1.0);
-            let d2 = Box::new(ConstantDemand::new(0.008));
-            host.add_vm(VmConfig::new("v20", Credit::percent(20.0)), d1);
-            host.add_vm(VmConfig::new("trickle", Credit::percent(30.0)), d2);
-            host.add_vm(
-                VmConfig::new("lazy", Credit::percent(70.0)),
-                Box::new(crate::work::Idle),
-            );
-            host.run_for(SimDuration::from_secs(60));
-            host
-        };
-        let on = run(true);
-        let off = run(false);
-        assert!(on.fused_slices() > 0, "fused path never engaged");
-        assert_eq!(fingerprint(&on), fingerprint(&off));
-        assert_eq!(on.stats().snapshots(), off.stats().snapshots());
-    }
-
-    /// A batch source is unfusable until its work is released (its
-    /// `generate` has state), then fuses as an exhausted drain; the
-    /// host later turns quiescent under a downscaling governor. All
-    /// three regimes must agree with the exact path bit-for-bit.
-    #[test]
-    fn event_core_is_bit_exact_for_batch_drain() {
-        let run = |on: bool| {
-            let mut host = HostConfig::optiplex_defaults(SchedulerKind::Credit)
-                .with_governor(Box::new(StableOndemand::new()))
-                .with_event_core(on)
-                .build();
-            let total = 5.0 * host.fmax_mcps();
-            host.add_vm(
-                VmConfig::new("batch", Credit::percent(50.0)),
-                Box::new(crate::work::test_batch(total)),
-            );
-            host.add_vm(
-                VmConfig::new("spare", Credit::percent(20.0)),
-                Box::new(crate::work::Idle),
-            );
-            host.run_for(SimDuration::from_secs(60));
-            host
-        };
-        let on = run(true);
-        let off = run(false);
-        assert!(on.fused_slices() > 0, "fused path never engaged");
-        assert_eq!(fingerprint(&on), fingerprint(&off));
-        assert_eq!(on.stats().snapshots(), off.stats().snapshots());
-    }
-
-    /// With a tracer installed the event core must emit the *same
-    /// event stream*, not merely the same aggregates — fusing is only
-    /// allowed on stretches that provably record nothing.
-    #[test]
-    fn event_core_is_bit_exact_when_traced() {
-        let run = |on: bool| {
-            let mut host = HostConfig::optiplex_defaults(SchedulerKind::Pas)
-                .with_event_core(on)
-                .build();
-            let total = 8.0 * host.fmax_mcps();
-            host.add_vm(
-                VmConfig::new("batch", Credit::percent(20.0)),
-                Box::new(crate::work::test_batch(total)),
-            );
-            host.add_vm(
-                VmConfig::new("lazy", Credit::percent(70.0)),
-                Box::new(crate::work::Idle),
-            );
-            host.set_tracer(trace::Tracer::new(1, trace::DEFAULT_CAPACITY).with_host(0));
-            host.run_for(SimDuration::from_secs(60));
-            let tracer = host.take_tracer().expect("tracer installed");
-            (fingerprint(&host), trace::Trace::merge(vec![tracer]))
-        };
-        let (fp_on, trace_on) = run(true);
-        let (fp_off, trace_off) = run(false);
-        assert_eq!(fp_on, fp_off);
-        assert!(!trace_on.events().is_empty());
-        assert_eq!(trace_on.events(), trace_off.events());
-    }
-
-    /// SEDF has no Credit core to lease, so the event core must fall
-    /// back to the exact loop throughout — and still match.
-    #[test]
-    fn event_core_is_inert_for_sedf() {
-        let run = |on: bool| {
-            let mut host = HostConfig::optiplex_defaults(SchedulerKind::Sedf { extra: true })
-                .with_event_core(on)
-                .build();
-            let d1 = demand(&host, 1.0);
-            host.add_vm(VmConfig::new("v20", Credit::percent(20.0)), d1);
-            host.add_vm(
-                VmConfig::new("v70", Credit::percent(70.0)),
-                Box::new(crate::work::Idle),
-            );
-            host.run_for(SimDuration::from_secs(30));
-            host
-        };
-        let on = run(true);
-        let off = run(false);
-        assert_eq!(on.fused_slices(), 0, "no Credit core, nothing fuses");
-        assert_eq!(fingerprint(&on), fingerprint(&off));
-    }
-
-    /// The wake forecast: runnable VMs wake now, dormant fluid sources
-    /// wake when their backlog reaches the runnable threshold, and
-    /// exhausted VMs never wake.
-    #[test]
-    fn next_vm_wake_forecasts_arrivals() {
-        let horizon = SimTime::from_secs(100);
-
-        // Idle-only host: no VM ever wakes.
-        let mut idle = HostConfig::optiplex_defaults(SchedulerKind::Credit).build();
-        idle.add_vm(
-            VmConfig::new("idle", Credit::percent(50.0)),
-            Box::new(crate::work::Idle),
-        );
-        assert_eq!(idle.next_vm_wake(horizon), horizon);
-        // Control boundaries still fire: the first accounting tick.
-        assert_eq!(idle.next_event(horizon), SimTime::from_millis(30));
-
-        // A dormant trickle source crosses the runnable threshold
-        // after threshold / rate seconds.
-        let mut slow = HostConfig::optiplex_defaults(SchedulerKind::Credit).build();
-        slow.add_vm(
-            VmConfig::new("trickle", Credit::percent(50.0)),
-            Box::new(ConstantDemand::new(MIN_RUNNABLE_MCYCLES)),
-        );
-        let wake = slow.next_vm_wake(horizon).as_secs_f64();
-        assert!((wake - 1.0).abs() < 1e-9, "wake at {wake}, expected 1 s");
-
-        // A runnable VM wakes immediately.
-        let mut busy = HostConfig::optiplex_defaults(SchedulerKind::Credit).build();
-        let d = demand(&busy, 0.5);
-        busy.add_vm(VmConfig::new("busy", Credit::percent(50.0)), d);
-        busy.run_for(SimDuration::from_millis(90));
-        assert_eq!(busy.next_vm_wake(horizon), busy.now());
     }
 }

@@ -142,18 +142,6 @@ impl CreditScheduler {
         self.vms[id.0].as_ref().expect("unknown VM")
     }
 
-    /// Replays the cursor side effect of a `pick_next` whose outcome
-    /// is already known to be `vm` as the only eligible candidate:
-    /// Dom0 returns before the cursor moves, every other class
-    /// advances it by one. The host's fused event-core loop calls
-    /// this instead of re-running the scan when the pick cannot
-    /// change; it must stay in lockstep with `pick_next`.
-    pub(crate) fn repick_commit(&mut self, vm: VmId) {
-        if self.entry(vm).priority != Priority::Dom0 {
-            self.rr_cursor = self.rr_cursor.wrapping_add(1);
-        }
-    }
-
     fn eligible(&self, id: VmId) -> bool {
         let vm = self.entry(id);
         vm.cap.is_none_or(|cap| vm.used < cap.allowance)
@@ -278,10 +266,6 @@ impl Scheduler for CreditScheduler {
         } else {
             false
         }
-    }
-
-    fn credit_core(&mut self) -> Option<&mut CreditScheduler> {
-        Some(self)
     }
 }
 

@@ -132,16 +132,4 @@ pub trait Scheduler: Send {
     fn take_sched_events(&mut self) -> Vec<SchedEvent> {
         Vec::new()
     }
-
-    /// The underlying [`CreditScheduler`], if this scheduler's
-    /// *slice-level* behaviour (`pick_next` / `max_slice` / `charge`)
-    /// is exactly Credit's. The host's event-driven core leases it to
-    /// replay steady scheduling windows without re-running the pick
-    /// scan. PAS qualifies — it only diverges from Credit at
-    /// accounting boundaries, which end every window — while SEDF and
-    /// Credit2 return `None` (the default), which simply keeps the
-    /// fused fast path off.
-    fn credit_core(&mut self) -> Option<&mut CreditScheduler> {
-        None
-    }
 }

@@ -181,14 +181,6 @@ impl Scheduler for PasScheduler {
     fn take_sched_events(&mut self) -> Vec<SchedEvent> {
         std::mem::take(&mut self.pending_events)
     }
-
-    fn credit_core(&mut self) -> Option<&mut crate::sched::CreditScheduler> {
-        // PAS only diverges from Credit at accounting boundaries
-        // (frequency plan + cap rewrite in `on_accounting`); between
-        // boundaries pick/max_slice/charge delegate verbatim, so the
-        // host may replay slices against the inner scheduler directly.
-        Some(&mut self.inner)
-    }
 }
 
 impl std::fmt::Debug for PasScheduler {

@@ -207,13 +207,6 @@ impl Vm {
         std::mem::replace(&mut self.work, work)
     }
 
-    /// The workload's [`WorkSource::steady_rate_mcps`], as read when it
-    /// was installed.
-    #[must_use]
-    pub(crate) fn steady_rate_mcps(&self) -> Option<f64> {
-        self.steady.map(|s| s.rate_mcps)
-    }
-
     /// The workload's [`WorkSource::demand_exhausted`]; a steady
     /// source's answer is the one read when it was installed.
     #[inline]

@@ -111,8 +111,7 @@ pub trait WorkSource: Send {
     /// installed, and from then on never calls `generate`,
     /// `on_progress` or `backlog_cap_mcycles` of a steady source, nor
     /// asks it again whether its demand is exhausted: refills add
-    /// `r * dt.as_secs_f64()` to the backlog directly. The host's
-    /// fused window replay reads the same cached rate.
+    /// `r * dt.as_secs_f64()` to the backlog directly.
     fn steady_rate_mcps(&self) -> Option<f64> {
         None
     }

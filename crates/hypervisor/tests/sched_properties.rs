@@ -167,83 +167,10 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// The event-driven core's acceptance criterion, randomized: for
-    /// any scheduler × governor × workload-mix, a host with the fused
-    /// window replay enabled must be bit-identical — energy, busy
-    /// fractions, P-state, final instant, snapshots — to the
-    /// slice-exact loop. The fused path may engage or not depending on
-    /// the draw (caps below the quantum never fuse, multi-runnable
-    /// windows never fuse); either way the results must agree exactly.
-    #[test]
-    fn event_core_matches_exact_loop_on_random_scenarios(
-        sched_ix in 0usize..4,
-        gov_ix in 0usize..3,
-        vms in proptest::collection::vec((0usize..3, 0.05f64..1.0, 5.0f64..90.0), 1..5),
-        secs in 30u64..90,
-    ) {
-        use governors::{Performance, StableOndemand};
-        use hypervisor::work::test_batch;
-
-        let sched = [
-            SchedulerKind::Credit,
-            SchedulerKind::Credit2,
-            SchedulerKind::Sedf { extra: true },
-            SchedulerKind::Pas,
-        ][sched_ix];
-        let run = |event_core: bool| {
-            let mut cfg = HostConfig::optiplex_defaults(sched).with_event_core(event_core);
-            // PAS owns DVFS; other schedulers draw a governor.
-            if sched_ix != 3 {
-                cfg = match gov_ix {
-                    0 => cfg,
-                    1 => cfg.with_governor(Box::new(StableOndemand::new())),
-                    _ => cfg.with_governor(Box::new(Performance)),
-                };
-            }
-            let mut host = cfg.build();
-            let fmax = host.fmax_mcps();
-            for (i, &(kind, frac, credit)) in vms.iter().enumerate() {
-                let work: Box<dyn WorkSource> = match kind {
-                    0 => Box::new(ConstantDemand::new(frac * fmax)),
-                    1 => Box::new(test_batch(frac * 10.0 * fmax)),
-                    _ => Box::new(Idle),
-                };
-                host.add_vm(
-                    VmConfig::new(format!("vm{i}"), Credit::percent(credit)),
-                    work,
-                );
-            }
-            host.run_for(SimDuration::from_secs(secs));
-            let per_vm: Vec<(u64, u64)> = (0..vms.len())
-                .map(|i| {
-                    (
-                        host.stats().vm_busy_fraction(VmId(i)).to_bits(),
-                        host.stats().vm_absolute_fraction(VmId(i)).to_bits(),
-                    )
-                })
-                .collect();
-            (
-                host.cpu().energy().joules().to_bits(),
-                host.stats().global_busy_fraction().to_bits(),
-                host.cpu().pstate(),
-                host.now(),
-                per_vm,
-                host.stats().snapshots().to_vec(),
-            )
-        };
-        let on = run(true);
-        let off = run(false);
-        prop_assert_eq!(on, off);
-    }
-}
-
 /// Forwards every [`WorkSource`] method to the wrapped source except
 /// `steady_rate_mcps`, which keeps its default `None`: a VM running an
 /// `Opaque` source has no cached demand model, so the host asks the
-/// source on every slice, and the fused replay never engages.
+/// source on every slice.
 struct Opaque<W>(W);
 
 impl<W: WorkSource> WorkSource for Opaque<W> {

@@ -1,54 +1,40 @@
-//! Deterministic discrete-event simulation kernel.
+//! Deterministic simulation time and randomness.
 //!
 //! This crate provides the substrate every other crate in the workspace
 //! builds on:
 //!
 //! * [`SimTime`] / [`SimDuration`] — microsecond-resolution simulated time,
-//! * [`EventQueue`] — a total-ordered pending-event set with stable
-//!   FIFO tie-breaking and O(log n) cancellation,
-//! * [`WakeHeap`] — a rebuildable per-host wake-instant heap ordered
-//!   by `(time, stream, sequence)` for the event-driven host loop,
-//! * [`Engine`] — the event loop, generic over a user-supplied world type,
 //! * [`SimRng`] — a seeded, reproducible random number generator.
 //!
-//! The kernel is deliberately single-threaded: reproducing a scheduling
-//! paper requires bit-for-bit reproducible runs, so all parallelism in
-//! this workspace lives *across* experiment runs (see the `experiments`
-//! crate), never inside one.
+//! A simulation is single-threaded: reproducing a scheduling paper
+//! requires bit-for-bit reproducible runs, so all parallelism in this
+//! workspace lives *across* hosts and experiment runs (see the
+//! `cluster` and `experiments` crates), never inside one.
 //!
 //! # Example
 //!
 //! ```
-//! use simkernel::{Engine, SimTime, SimDuration};
+//! use simkernel::{SimDuration, SimRng, SimTime};
 //!
-//! struct World { ticks: u32 }
-//!
-//! let mut engine = Engine::new();
-//! let mut world = World { ticks: 0 };
-//! // A self-rescheduling periodic event.
-//! fn tick(w: &mut World, eng: &mut Engine<World>) {
-//!     w.ticks += 1;
-//!     if w.ticks < 5 {
-//!         let next = eng.now() + SimDuration::from_millis(10);
-//!         eng.schedule(next, tick);
-//!     }
+//! // Exact integer time: three 30 ms accounting periods end at 90 ms.
+//! let period = SimDuration::from_millis(30);
+//! let mut now = SimTime::ZERO;
+//! for _ in 0..3 {
+//!     now += period;
 //! }
-//! engine.schedule(SimTime::ZERO, tick);
-//! engine.run(&mut world);
-//! assert_eq!(world.ticks, 5);
-//! assert_eq!(engine.now(), SimTime::from_millis(40));
+//! assert_eq!(now, SimTime::from_millis(90));
+//! assert_eq!(now.as_micros(), 90_000);
+//!
+//! // The same seed replays the same stream.
+//! let mut a = SimRng::seed_from(7);
+//! let mut b = SimRng::seed_from(7);
+//! assert_eq!(a.below(1_000), b.below(1_000));
 //! ```
 
 #![deny(missing_docs)]
 
-mod engine;
-mod event;
 mod rng;
 mod time;
-mod wake;
 
-pub use engine::{Engine, EngineError, EngineEvent};
-pub use event::{EventId, EventQueue, QueuedEvent};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
-pub use wake::{Wake, WakeHeap, WakeKind};

@@ -6,7 +6,7 @@
 //!
 //! | crate | role |
 //! |-------|------|
-//! | [`simkernel`] | deterministic discrete-event kernel |
+//! | [`simkernel`] | deterministic simulation time and seeded RNG |
 //! | [`cpumodel`] | P-states, `cf` factors, power/energy, machine presets |
 //! | [`governors`] | cpufreq + ondemand / conservative / performance / powersave / userspace / the paper's stabilised governor |
 //! | [`pas_core`] | the paper's contribution: Equations 1–4, Listings 1.1/1.2, controllers, calibration |

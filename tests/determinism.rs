@@ -189,12 +189,11 @@ fn campaigns_are_byte_identical_across_job_counts() {
     assert_eq!(ja.as_bytes(), jb.as_bytes());
 }
 
-/// The idle-skip fast path is a wall-clock optimisation only: on an
-/// idle-heavy fleet (most VMs quiescent from the first epoch) the
-/// exported CSV artefact and the fleet totals must be byte-identical
-/// with the fast path on and off, serial and parallel. This is the
-/// top-level guarantee behind `fleet_idle_heavy_{skip,exact}` in
-/// `repro bench` reporting a speedup without changing any result.
+/// The idle skip and inline routing of quiescent hosts are wall-clock
+/// optimisations only: on an idle-heavy fleet (most VMs quiescent
+/// from the first epoch) the exported CSV artefact and the fleet
+/// totals must be byte-identical serial and parallel, whichever hosts
+/// the worker pool receives.
 #[test]
 fn idle_skip_fleet_artifacts_are_byte_identical() {
     use pas_repro::cluster::{Fleet, FleetConfig, VmSpec};
@@ -205,11 +204,8 @@ fn idle_skip_fleet_artifacts_are_byte_identical() {
         VmSpec::new("busy1", 4.0, 0.30),
     ];
     specs.extend((0..14).map(|i| VmSpec::new(format!("idle{i}"), 4.0, 0.0).with_credit_frac(0.15)));
-    let run = |fast: bool, jobs: usize| {
-        let mut fleet = Fleet::build(
-            FleetConfig::performance_defaults().with_idle_fast_path(fast),
-            &specs,
-        );
+    let run = |jobs: usize| {
+        let mut fleet = Fleet::build(FleetConfig::performance_defaults(), &specs);
         fleet.run_epochs(6, jobs);
         let totals = fleet.totals();
         (
@@ -217,19 +213,14 @@ fn idle_skip_fleet_artifacts_are_byte_identical() {
             export::to_csv(&[fleet.load_series()]),
         )
     };
-    let (energy_exact, csv_exact) = run(false, 1);
-    for (fast, jobs) in [(true, 1), (true, 4), (false, 4)] {
-        let (energy, csv) = run(fast, jobs);
-        assert_eq!(
-            energy, energy_exact,
-            "energy must be bit-identical (fast={fast}, jobs={jobs})"
-        );
-        assert_eq!(
-            csv.as_bytes(),
-            csv_exact.as_bytes(),
-            "load-series CSV must be byte-identical (fast={fast}, jobs={jobs})"
-        );
-    }
+    let (energy_serial, csv_serial) = run(1);
+    let (energy, csv) = run(4);
+    assert_eq!(energy, energy_serial, "energy must be bit-identical");
+    assert_eq!(
+        csv.as_bytes(),
+        csv_serial.as_bytes(),
+        "load-series CSV must be byte-identical"
+    );
 }
 
 /// The sharded placement layer is a pure worker partitioning: VMs
@@ -378,17 +369,16 @@ fn quickstart_metrics_exports_are_byte_identical() {
     );
 }
 
-/// The event-driven core's fleet-level acceptance criterion: with
-/// next-event epoch routing, every artefact must be byte-identical to
-/// the slice-exact core across `--jobs` 1/2/8 and shard counts
-/// 1/4/16. The wake forecast only decides *where* a host simulates
-/// (inline versus on the worker pool), never what any slice computes,
-/// so neither the event core nor worker scheduling may leak into a
-/// single byte. The population mixes saturating, trickle (dormant
-/// for whole epochs between wakes), stepped-surge and fully idle VMs
-/// so both routes are actually exercised.
+/// Fleet routing's acceptance criterion: every artefact must be
+/// byte-identical across `--jobs` 1/2/8 and shard counts 1/4/16.
+/// Routing only decides *where* a host simulates (inline when
+/// quiescent, otherwise on the worker pool), never what any slice
+/// computes, so worker scheduling may not leak into a single byte.
+/// The population mixes saturating, trickle (dormant for whole epochs
+/// between wakes), stepped-surge and fully idle VMs so both routes
+/// are actually exercised.
 #[test]
-fn event_core_fleet_artifacts_are_byte_identical_across_jobs_and_shards() {
+fn mixed_fleet_artifacts_are_byte_identical_across_jobs_and_shards() {
     use pas_repro::cluster::{Fleet, FleetConfig, ShardConfig, VmSpec};
     use pas_repro::metrics::export;
 
@@ -401,11 +391,9 @@ fn event_core_fleet_artifacts_are_byte_identical_across_jobs_and_shards() {
     specs.push(VmSpec::new("surge", 4.0, 0.05).with_steps(vec![(60.0, 0.40), (90.0, 0.05)]));
     specs.extend((0..5).map(|i| VmSpec::new(format!("idle{i}"), 2.0, 0.0).with_credit_frac(0.1)));
 
-    let run = |event_core: bool, shards: usize, jobs: usize| {
+    let run = |shards: usize, jobs: usize| {
         let mut fleet = Fleet::build(
-            FleetConfig::pas_defaults()
-                .with_event_core(event_core)
-                .with_sharding(ShardConfig::new(shards)),
+            FleetConfig::pas_defaults().with_sharding(ShardConfig::new(shards)),
             &specs,
         );
         fleet.run_epochs(5, jobs);
@@ -416,20 +404,12 @@ fn event_core_fleet_artifacts_are_byte_identical_across_jobs_and_shards() {
             export::to_csv(&[fleet.load_series()]),
         )
     };
-    let reference = run(false, 1, 1);
-    for (event_core, shards, jobs) in [
-        (true, 1, 1),
-        (true, 1, 2),
-        (true, 1, 8),
-        (true, 4, 2),
-        (true, 16, 8),
-        (false, 4, 8),
-    ] {
-        let got = run(event_core, shards, jobs);
+    let reference = run(1, 1);
+    for (shards, jobs) in [(1, 2), (1, 8), (4, 2), (4, 8), (16, 8)] {
+        let got = run(shards, jobs);
         assert_eq!(
             got, reference,
-            "artefacts must be byte-identical \
-             (event_core={event_core}, shards={shards}, jobs={jobs})"
+            "artefacts must be byte-identical (shards={shards}, jobs={jobs})"
         );
     }
 }
