@@ -874,39 +874,61 @@ mod tests {
         assert!(fleet.totals().sla_ratio > 0.9);
     }
 
-    /// Quiescent hosts run inline, the rest on the worker pool; the
-    /// split must not move a bit at any job count. Two populations:
-    /// idle-heavy (one working host plus six quiescent spares) and
-    /// mixed (steady workers, one stepped VM whose demand changes
-    /// mid-run, and quiescent spares).
-    #[test]
-    fn inline_quiescent_hosts_are_jobs_invariant() {
-        let mut mixed = lazy_fleet(8);
-        mixed.push(VmSpec::new("surge", 4.0, 0.05).with_steps(vec![(60.0, 0.40), (90.0, 0.05)]));
-        let populations = [
-            (
-                FleetConfig::performance_defaults().with_spares(6),
-                lazy_fleet(4),
-                4,
-            ),
-            (FleetConfig::pas_defaults().with_spares(3), mixed, 5),
-        ];
-        for (cfg, specs, epochs) in populations {
-            let run = |jobs: usize| {
-                let mut fleet = Fleet::build(cfg.clone(), &specs);
-                fleet.run_epochs(epochs, jobs);
-                (fleet.totals(), fleet.load_series().points().to_vec())
-            };
-            let (t1, s1) = run(1);
-            let (t4, s4) = run(4);
-            assert_eq!(t1.energy_j.to_bits(), t4.energy_j.to_bits(), "energy");
-            assert_eq!(t1.sla_ratio.to_bits(), t4.sla_ratio.to_bits(), "SLA");
-            assert_eq!(s1.len(), s4.len());
-            for (a, b) in s1.iter().zip(&s4) {
+    /// Runs `specs` for `epochs` epochs at jobs 1, 2 and 4 and asserts
+    /// that totals and load series agree bit for bit. Quiescent hosts
+    /// run inline and the rest on the worker pool, so the population
+    /// must start with hosts on both routes.
+    fn assert_jobs_invariant(cfg: &FleetConfig, specs: &[VmSpec], epochs: usize) {
+        let run = |jobs: usize| {
+            let mut fleet = Fleet::build(cfg.clone(), specs);
+            let quiescent = fleet.hosts.iter().filter(|h| h.is_quiescent()).count();
+            assert!(
+                quiescent > 0 && quiescent < fleet.host_count(),
+                "both routes carry hosts: {quiescent} of {} quiescent",
+                fleet.host_count()
+            );
+            fleet.run_epochs(epochs, jobs);
+            (fleet.totals(), fleet.load_series().points().to_vec())
+        };
+        let (t1, s1) = run(1);
+        for jobs in [2, 4] {
+            let (t, s) = run(jobs);
+            assert_eq!(
+                t.energy_j.to_bits(),
+                t1.energy_j.to_bits(),
+                "energy, jobs={jobs}"
+            );
+            assert_eq!(
+                t.sla_ratio.to_bits(),
+                t1.sla_ratio.to_bits(),
+                "SLA, jobs={jobs}"
+            );
+            assert_eq!(s.len(), s1.len());
+            for (a, b) in s.iter().zip(&s1) {
                 assert_eq!(a.0.to_bits(), b.0.to_bits());
-                assert_eq!(a.1.to_bits(), b.1.to_bits());
+                assert_eq!(a.1.to_bits(), b.1.to_bits(), "load, jobs={jobs}");
             }
         }
+    }
+
+    /// Idle-heavy: one working host plus six quiescent spares, which
+    /// advance inline through the hypervisor's idle skip.
+    #[test]
+    fn idle_fast_path_is_bit_exact_and_jobs_invariant() {
+        let cfg = FleetConfig::performance_defaults().with_spares(6);
+        assert_jobs_invariant(&cfg, &lazy_fleet(4), 4);
+    }
+
+    /// Mixed: steady constant-demand workers, one stepped VM whose
+    /// demand changes mid-run, and quiescent spares. The population
+    /// once pinned a removed event core against the exact loop; with
+    /// one loop left it pins the inline/pool split.
+    #[test]
+    fn event_core_is_bit_exact_and_jobs_invariant() {
+        let mut specs = lazy_fleet(8);
+        specs.push(VmSpec::new("surge", 4.0, 0.05).with_steps(vec![(60.0, 0.40), (90.0, 0.05)]));
+        let cfg = FleetConfig::pas_defaults().with_spares(3);
+        assert_jobs_invariant(&cfg, &specs, 5);
     }
 
     #[test]
