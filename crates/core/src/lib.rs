@@ -10,7 +10,8 @@
 //! * [`Credit`] — a typed CPU credit (percentage of the processor *at
 //!   maximum frequency*, the paper's SLA unit),
 //! * [`FreqPlanner`] — Listings 1.1 (`computeNewFreq`) and 1.2
-//!   (`updateDvfsAndCredits`) as pure, testable functions,
+//!   (`updateDvfsAndCredits`) as pure, testable functions, plus the
+//!   saturation bump PAS applies on every simulated host,
 //! * [`MovingAverage`] — the 3-sample global-load smoothing of the
 //!   paper's footnote 5,
 //! * [`CfCalibrator`] — the Section 5.2 measurement procedure that

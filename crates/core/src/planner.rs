@@ -10,11 +10,17 @@
 //! implementation (`hypervisor::sched::pas`), the user-level
 //! controllers ([`crate::controller`]) and the cgroup shim all call
 //! the same two functions and differ only in how they *apply* the
-//! returned [`CreditPlan`].
+//! returned [`CreditPlan`]. PAS on the single-core, multi-core and
+//! SMT hosts of the `hypervisor` crate takes its frequency from one
+//! method, [`FreqPlanner::target_pstate`].
 
 use cpumodel::{PStateIdx, PStateTable};
 
 use crate::equations::{capacity_percent, compensated_credit, Credit};
+
+/// The measured load, in percent of wall time, at which
+/// [`FreqPlanner::target_pstate`] treats the processor as saturated.
+const SATURATED_LOAD_PCT: f64 = 99.0;
 
 /// The outcome of one `updateDvfsAndCredits` pass: the frequency to
 /// apply and the per-VM compensated credits (same order as the input).
@@ -101,6 +107,36 @@ impl FreqPlanner {
             }
         }
         self.table.max_idx()
+    }
+
+    /// Listing 1.1 plus the **saturation bump**: the P-state to apply
+    /// after an accounting window whose smoothed absolute load was
+    /// `absolute_load` (percent of the fmax capacity) and whose
+    /// measured load was `load_pct` (percent of wall time) at P-state
+    /// `current`.
+    ///
+    /// A pegged processor measures an absolute load bounded by the
+    /// current state's capacity, so Listing 1.1 alone would keep a
+    /// saturated CPU at a low frequency forever. While the load is at
+    /// least 99 %, climb one state per window instead of staying put
+    /// or descending, as the stock ondemand governor's jump rule does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `absolute_load` is negative or not finite.
+    #[must_use]
+    pub fn target_pstate(
+        &self,
+        absolute_load: f64,
+        load_pct: f64,
+        current: PStateIdx,
+    ) -> PStateIdx {
+        let target = self.compute_new_freq(absolute_load);
+        if load_pct >= SATURATED_LOAD_PCT && target <= current {
+            PStateIdx((current.0 + 1).min(self.table.max_idx().0))
+        } else {
+            target
+        }
     }
 
     /// Equation 4 for a single VM at P-state `pstate`.

@@ -2,6 +2,7 @@
 //! Section 4.2 must hold for arbitrary operating points, not just the
 //! Optiplex ladder.
 
+use cpumodel::PStateIdx;
 use pas_core::equations::{
     absolute_load, capacity_percent, compensated_credit, load_at_ratio, time_at_ratio,
     time_with_credit,
@@ -124,6 +125,48 @@ proptest! {
             if p < table.max_idx() {
                 prop_assert!(cap > l, "chosen state must absorb the load");
             }
+        }
+    }
+}
+
+/// Listing 1.1 plus the saturation bump as `PasScheduler::on_accounting`
+/// wrote it before the rule moved into [`FreqPlanner::target_pstate`]:
+/// the reference the planner method is pinned against.
+fn single_core_target(
+    planner: &FreqPlanner,
+    absolute: f64,
+    load_pct: f64,
+    current: PStateIdx,
+) -> PStateIdx {
+    let mut target = planner.compute_new_freq(absolute);
+    if load_pct >= 99.0 && target <= current {
+        let table = planner.table();
+        target = PStateIdx((current.0 + 1).min(table.max_idx().0));
+    }
+    target
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `FreqPlanner::target_pstate` picks the P-state the single-core
+    /// PAS rule picked, for any load (exactly at the 99 % saturation
+    /// threshold too), from every P-state, with a few headrooms.
+    #[test]
+    fn target_pstate_matches_the_single_core_rule(
+        absolute in 0.0f64..=120.0,
+        load in 0.0f64..=100.0,
+        at_threshold in any::<bool>(),
+        headroom in (0usize..4).prop_map(|i| [0.0, 2.5, 10.0, 25.0][i]),
+    ) {
+        let table = cpumodel::machines::optiplex_755().pstate_table();
+        let planner = FreqPlanner::new(table.clone()).with_headroom(headroom);
+        let load = if at_threshold { 99.0 } else { load };
+        for current in table.indices() {
+            prop_assert_eq!(
+                planner.target_pstate(absolute, load, current),
+                single_core_target(&planner, absolute, load, current)
+            );
         }
     }
 }

@@ -9,7 +9,8 @@
 //! or deadline allowance, its backlog drain time, and the distance to
 //! the next period boundary (accounting / governor / snapshot). This
 //! gives exact cap enforcement (a 20% cap on a 30 ms period yields
-//! precisely 6 ms) without a sub-millisecond fixed step.
+//! precisely 6 ms) without a sub-millisecond fixed step. The
+//! multi-core and SMT hosts slice by the same rule.
 
 use cpumodel::Cpu;
 use governors::{CpuFreq, Governor};
@@ -19,6 +20,7 @@ use trace::{EventKind, FreqCause, Record as _, Tracer};
 use crate::sched::{
     Credit2Scheduler, CreditScheduler, PasScheduler, SchedCtx, Scheduler, SedfScheduler,
 };
+use crate::slice::{slice_len, QUANTUM};
 use crate::stats::HostStats;
 use crate::vm::{Vm, VmConfig, VmId};
 use crate::work::WorkSource;
@@ -77,7 +79,7 @@ impl HostConfig {
             machine: cpumodel::machines::optiplex_755(),
             scheduler,
             governor: None,
-            quantum: SimDuration::from_millis(10),
+            quantum: QUANTUM,
             governor_base_period: SimDuration::from_millis(50),
             sample_period: SimDuration::from_secs(10),
             pas_smoothing_window: None,
@@ -714,18 +716,7 @@ impl Host {
                 let cap_slice = self.sched.max_slice(vm, self.now);
                 let mcps = self.cpu.pstates().state(self.cpu.pstate()).effective_mcps();
                 let drain_secs = self.vms[vm.0].backlog_seconds_at(mcps);
-                let drain = if drain_secs.is_finite() {
-                    SimDuration::from_secs_f64(drain_secs.min(horizon.as_secs_f64()))
-                } else {
-                    horizon
-                };
-                let mut s = horizon.min(self.quantum).min(cap_slice).min(drain);
-                if s.is_zero() {
-                    // Sub-microsecond residue (cap or backlog): round up
-                    // to the clock resolution so time always advances.
-                    s = SimDuration::from_micros(1).min(horizon);
-                }
-                s
+                slice_len(horizon, self.quantum, cap_slice, drain_secs)
             }
         };
         debug_assert!(!slice.is_zero());

@@ -24,7 +24,9 @@
 //!   system: multi-core hosts with per-socket / per-core DVFS domains
 //!   and per-domain PAS,
 //! * [`smt`] — the hyper-threading perspective: logical CPUs sharing a
-//!   core, with naive vs contention-aware PAS credit compensation,
+//!   core, with naive vs contention-aware PAS credit compensation
+//!   (all three host models slice by one rule, kept in the private
+//!   `slice` module),
 //! * [`stats`] — load accounting and periodic snapshots.
 //!
 //! # Example: the paper's host in a few lines
@@ -55,6 +57,7 @@ pub mod host;
 pub mod multicore;
 pub mod platforms;
 pub mod sched;
+mod slice;
 pub mod smt;
 pub mod stats;
 pub mod vm;

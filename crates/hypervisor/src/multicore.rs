@@ -13,17 +13,21 @@
 //!   core), and compensates the credits of every VM in that domain for
 //!   the domain's frequency.
 //!
-//! The loop uses a fixed 1 ms quantum against a 100 ms accounting
-//! period (1% cap granularity) — coarser than the single-core host's
-//! exact variable slicing, but the multi-core questions are about
-//! domain coupling, not sub-millisecond cap precision.
+//! Each core is one runqueue (a Credit scheduler and its pinned VMs)
+//! advanced by the single-core host's exact variable-length slices:
+//! a picked VM runs for the shortest of the 10 ms quantum, its
+//! remaining cap allowance and its backlog's drain time, and every
+//! slice ends at the next 100 ms accounting tick, sample or run end.
+//! Cores interact only at the ticks, so each core runs its own slices
+//! up to the next one.
 
 use cpumodel::topology::{CoreId, CpuPackage, DomainId, Topology};
-use cpumodel::MachineSpec;
+use cpumodel::{MachineSpec, SmtSpec};
 use pas_core::{Credit, FreqPlanner, MovingAverage};
 use simkernel::{SimDuration, SimTime};
 
-use crate::sched::{CreditScheduler, SchedCtx, Scheduler};
+use crate::sched::{SchedCtx, Scheduler};
+use crate::slice::{step_core, RunQueue};
 use crate::vm::{Vm, VmConfig, VmId};
 use crate::work::WorkSource;
 
@@ -43,14 +47,10 @@ pub struct MultiSnapshot {
     pub t_secs: f64,
     /// Frequency per core, MHz.
     pub core_freq_mhz: Vec<u32>,
-    /// Absolute load per VM over the window, percent of one core's
-    /// fmax capacity.
-    pub vm_absolute_pct: Vec<f64>,
 }
 
 struct CoreState {
-    sched: CreditScheduler,
-    vms: Vec<VmId>,
+    rq: RunQueue,
     window_busy: f64,
     window_abs: f64,
     total_busy: f64,
@@ -69,15 +69,13 @@ pub struct MultiHost {
     planner: FreqPlanner,
     domain_smooth: Vec<MovingAverage>,
     now: SimTime,
-    quantum: SimDuration,
     acct_period: SimDuration,
     next_acct: SimTime,
     sample_period: SimDuration,
     next_sample: SimTime,
     snapshots: Vec<MultiSnapshot>,
     window_start: SimTime,
-    // Reusable runnable-scan buffer, as in `Host`: `advance` runs once
-    // per core every 1 ms step.
+    // Reusable runnable-scan buffer, as in `Host`.
     runnable_scratch: Vec<VmId>,
 }
 
@@ -94,8 +92,7 @@ impl MultiHost {
             pkg,
             cores: (0..topo.n_cores())
                 .map(|_| CoreState {
-                    sched: CreditScheduler::with_period(acct_period),
-                    vms: Vec::new(),
+                    rq: RunQueue::new(acct_period),
                     window_busy: 0.0,
                     window_abs: 0.0,
                     total_busy: 0.0,
@@ -111,7 +108,6 @@ impl MultiHost {
                 .map(|_| MovingAverage::paper_default())
                 .collect(),
             now: SimTime::ZERO,
-            quantum: SimDuration::from_millis(1),
             acct_period,
             next_acct: SimTime::ZERO + acct_period,
             sample_period,
@@ -130,8 +126,7 @@ impl MultiHost {
     pub fn add_vm(&mut self, config: VmConfig, work: Box<dyn WorkSource>, core: CoreId) -> VmId {
         assert!(core.0 < self.topo.n_cores(), "core {core} out of range");
         let id = VmId(self.vms.len());
-        self.cores[core.0].sched.on_vm_added(id, &config);
-        self.cores[core.0].vms.push(id);
+        self.cores[core.0].rq.add_vm(id, &config);
         self.initial_credits.push(config.credit);
         self.vm_total_abs.push(0.0);
         self.placement.push(core);
@@ -222,62 +217,33 @@ impl MultiHost {
                 self.sample();
                 self.next_sample += self.sample_period;
             }
-            let step = self
-                .quantum
-                .min(end - self.now)
-                .min(self.next_acct - self.now)
-                .min(self.next_sample - self.now);
-            self.advance(step);
+            let boundary = end.min(self.next_acct).min(self.next_sample);
+            for (idx, core) in self.cores.iter_mut().enumerate() {
+                let cpu = self.pkg.core_mut(CoreId(idx));
+                // The P-state holds until the next tick.
+                let ratio_cf = cpu.ratio() * cpu.cf();
+                let mut t = self.now;
+                while t < boundary {
+                    t = step_core(
+                        std::slice::from_mut(&mut core.rq),
+                        &mut self.vms,
+                        cpu,
+                        SmtSpec::off(),
+                        t,
+                        boundary,
+                        &mut self.runnable_scratch,
+                    );
+                    if let Some(ran) = core.rq.ran {
+                        let abs_secs = ran.busy_secs * ratio_cf;
+                        core.window_busy += ran.busy_secs;
+                        core.window_abs += abs_secs;
+                        core.total_busy += ran.busy_secs;
+                        self.vm_total_abs[ran.vm.0] += abs_secs;
+                    }
+                }
+            }
+            self.now = boundary;
         }
-    }
-
-    fn advance(&mut self, dt: SimDuration) {
-        let slice_end = self.now + dt;
-        for vm in &mut self.vms {
-            vm.refill(slice_end, dt);
-        }
-        let mut runnable = std::mem::take(&mut self.runnable_scratch);
-        for core_idx in 0..self.cores.len() {
-            let core_id = CoreId(core_idx);
-            runnable.clear();
-            runnable.extend(
-                self.cores[core_idx]
-                    .vms
-                    .iter()
-                    .copied()
-                    .filter(|id| self.vms[id.0].is_runnable()),
-            );
-            let pick = self.cores[core_idx].sched.pick_next(self.now, &runnable);
-            let Some(vm) = pick else {
-                self.pkg.core_mut(core_id).account(0.0, dt);
-                continue;
-            };
-            let allowed = self.cores[core_idx].sched.max_slice(vm, self.now).min(dt);
-            let cpu = self.pkg.core(core_id);
-            let capacity = cpu.work_capacity(allowed);
-            let ratio_cf = cpu.ratio() * cpu.cf();
-            let done = self.vms[vm.0].execute(capacity, slice_end);
-            let busy_frac_of_allowed = if capacity > 0.0 {
-                (done / capacity).min(1.0)
-            } else {
-                0.0
-            };
-            let busy_secs = allowed.as_secs_f64() * busy_frac_of_allowed;
-            let abs_secs = busy_secs * ratio_cf;
-            self.cores[core_idx]
-                .sched
-                .charge(vm, SimDuration::from_secs_f64(busy_secs));
-            self.pkg
-                .core_mut(core_id)
-                .account(busy_secs / dt.as_secs_f64().max(1e-12), dt);
-            let st = &mut self.cores[core_idx];
-            st.window_busy += busy_secs;
-            st.window_abs += abs_secs;
-            st.total_busy += busy_secs;
-            self.vm_total_abs[vm.0] += abs_secs;
-        }
-        self.runnable_scratch = runnable;
-        self.now = slice_end;
     }
 
     fn accounting_tick(&mut self) {
@@ -295,26 +261,24 @@ impl MultiHost {
                     busiest_load = busiest_load.max(100.0 * st.window_busy / window);
                 }
                 let smoothed = self.domain_smooth[d].push(busiest_abs);
-                let mut target = self.planner.compute_new_freq(smoothed);
-                let current = self.pkg.core(cores[0]).pstate();
-                if busiest_load >= 99.0 && target <= current {
-                    let table = self.planner.table();
-                    target = cpumodel::PStateIdx((current.0 + 1).min(table.max_idx().0));
-                }
+                let target = self.planner.target_pstate(
+                    smoothed,
+                    busiest_load,
+                    self.pkg.core(cores[0]).pstate(),
+                );
                 self.pkg
                     .set_domain_pstate(domain, target)
                     .expect("valid p-state");
                 for c in &cores {
-                    let st = &mut self.cores[c.0];
-                    let vm_ids = st.vms.clone();
-                    for vm in vm_ids {
+                    let rq = &mut self.cores[c.0].rq;
+                    for &vm in &rq.vms {
                         let comp = self.planner.compensate(self.initial_credits[vm.0], target);
                         let cap = if comp.is_uncapped() {
                             None
                         } else {
                             Some(comp.as_fraction())
                         };
-                        st.sched.set_cap(vm, cap);
+                        rq.sched.set_cap(vm, cap);
                     }
                 }
             }
@@ -328,7 +292,7 @@ impl MultiHost {
                 measured_load_pct: 0.0,
                 measured_absolute_pct: 0.0,
             };
-            st.sched.on_accounting(&mut ctx);
+            st.rq.sched.on_accounting(&mut ctx);
             st.window_busy = 0.0;
             st.window_abs = 0.0;
         }
@@ -336,7 +300,6 @@ impl MultiHost {
     }
 
     fn sample(&mut self) {
-        let span = self.sample_period.as_secs_f64();
         self.snapshots.push(MultiSnapshot {
             t_secs: self.now.as_secs_f64(),
             core_freq_mhz: (0..self.topo.n_cores())
@@ -345,11 +308,7 @@ impl MultiHost {
                     cpu.pstates().state(cpu.pstate()).frequency.as_mhz()
                 })
                 .collect(),
-            vm_absolute_pct: (0..self.vms.len())
-                .map(|_| 0.0) // per-window per-VM tracking omitted; totals cover the studies
-                .collect(),
         });
-        let _ = span;
     }
 }
 

@@ -7,7 +7,8 @@
 //! 1. smooths the measured global load over 3 samples (footnote 5),
 //! 2. computes the *absolute load* (Section 4's definition),
 //! 3. runs `computeNewFreq` (Listing 1.1) to pick the lowest adequate
-//!    frequency,
+//!    frequency, climbing one state instead while the processor is
+//!    saturated ([`FreqPlanner::target_pstate`]),
 //! 4. rewrites every VM's cap with the Equation 4 compensated credit
 //!    (`updateDvfsAndCredits`, Listing 1.2), and
 //! 5. applies the frequency.
@@ -110,21 +111,12 @@ impl Scheduler for PasScheduler {
         self.inner.on_accounting(ctx);
 
         // Listing 1.2, with the absolute load measured exactly by the
-        // host (integrated per slice) and smoothed per footnote 5.
+        // host (integrated per slice) and smoothed per footnote 5, and
+        // the saturation bump for a pegged processor.
         let absolute = self.smoother.push(ctx.measured_absolute_pct);
-        let mut target = self.planner.compute_new_freq(absolute);
-
-        // Saturation rescue: when the processor is pegged, the measured
-        // absolute load is only a *lower bound* (it cannot exceed the
-        // current state's capacity), so Listing 1.1 alone would keep a
-        // saturated CPU at a low frequency forever. Climb one state per
-        // tick until the saturation clears, as the stock ondemand
-        // governor's jump rule does.
-        let current = ctx.cpu.pstate();
-        if ctx.measured_load_pct >= 99.0 && target <= current {
-            let table = self.planner.table();
-            target = cpumodel::PStateIdx((current.0 + 1).min(table.max_idx().0));
-        }
+        let target = self
+            .planner
+            .target_pstate(absolute, ctx.measured_load_pct, ctx.cpu.pstate());
 
         for (i, (id, init)) in self.initial.iter().enumerate() {
             let new_credit = self.planner.compensate(*init, target);

@@ -8,14 +8,23 @@
 //! * each logical CPU runs its own Credit scheduler with pinned
 //!   single-vCPU VMs (Xen with SMT presents logical CPUs exactly like
 //!   this);
-//! * within a quantum, a busy logical CPU delivers
-//!   `f · cf · per_thread_factor(busy siblings)` mega-cycles/sec — the
+//! * a busy logical CPU delivers
+//!   `f · cf · per_thread_factor(busy threads)` mega-cycles/sec — the
 //!   SMT contention penalty of [`cpumodel::smt`];
 //! * PAS plans the shared frequency from the core's *aggregate*
 //!   delivered absolute load and compensates credits per Equation 4 —
 //!   either **naively** (frequency only, the paper's Listing 1.2
 //!   verbatim) or **SMT-aware** (additionally dividing by the observed
 //!   per-thread [contention factor](SmtSpec::contention_factor)).
+//!
+//! Each logical CPU is one runqueue (a Credit scheduler and its pinned
+//! VMs), and the core advances all of them by one joint step of the
+//! single-core host's exact variable-length slice rule: every busy
+//! thread bounds the step by the 10 ms quantum, its VM's remaining cap
+//! allowance and its backlog's drain time at the contended rate, and
+//! the step runs the shortest bound, ending at the next 100 ms
+//! accounting tick or run end at the latest. Contention therefore
+//! starts and stops exactly when a sibling does.
 //!
 //! The experiment built on this host (`experiments::smt`) shows the
 //! gap the paper predicts: the verbatim PAS under-delivers booked
@@ -27,7 +36,8 @@ use cpumodel::{Cpu, MachineSpec};
 use pas_core::{Credit, FreqPlanner, MovingAverage};
 use simkernel::{SimDuration, SimTime};
 
-use crate::sched::{CreditScheduler, SchedCtx, Scheduler};
+use crate::sched::{SchedCtx, Scheduler};
+use crate::slice::{step_core, RunQueue};
 use crate::vm::{Vm, VmConfig, VmId};
 use crate::work::WorkSource;
 
@@ -55,8 +65,6 @@ pub enum SmtAwareness {
 }
 
 struct ThreadState {
-    sched: CreditScheduler,
-    vms: Vec<VmId>,
     /// Busy seconds in the current accounting window.
     window_busy: f64,
     /// Of those, seconds during which every sibling was also busy.
@@ -71,6 +79,8 @@ struct ThreadState {
 pub struct SmtHost {
     smt: SmtSpec,
     cpu: Cpu,
+    /// One runqueue per logical CPU, indexed by [`ThreadId`].
+    rqs: Vec<RunQueue>,
     threads: Vec<ThreadState>,
     vms: Vec<Vm>,
     placement: Vec<ThreadId>,
@@ -80,14 +90,11 @@ pub struct SmtHost {
     planner: FreqPlanner,
     smoother: MovingAverage,
     now: SimTime,
-    quantum: SimDuration,
     acct_period: SimDuration,
     next_acct: SimTime,
     window_start: SimTime,
-    // Reusable per-step buffers, as in `Host`: `advance` runs every
-    // 1 ms step.
+    // Reusable runnable-scan buffer, as in `Host`.
     runnable_scratch: Vec<VmId>,
-    picks_scratch: Vec<Option<(VmId, SimDuration)>>,
 }
 
 impl SmtHost {
@@ -99,10 +106,11 @@ impl SmtHost {
         SmtHost {
             smt,
             cpu: machine.build_cpu(),
+            rqs: (0..smt.threads())
+                .map(|_| RunQueue::new(acct_period))
+                .collect(),
             threads: (0..smt.threads())
                 .map(|_| ThreadState {
-                    sched: CreditScheduler::with_period(acct_period),
-                    vms: Vec::new(),
                     window_busy: 0.0,
                     window_contended: 0.0,
                     window_mcycles: 0.0,
@@ -117,12 +125,10 @@ impl SmtHost {
             planner: FreqPlanner::new(machine.pstate_table()),
             smoother: MovingAverage::paper_default(),
             now: SimTime::ZERO,
-            quantum: SimDuration::from_millis(1),
             acct_period,
             next_acct: SimTime::ZERO + acct_period,
             window_start: SimTime::ZERO,
             runnable_scratch: Vec::new(),
-            picks_scratch: Vec::new(),
         }
     }
 
@@ -137,10 +143,9 @@ impl SmtHost {
         work: Box<dyn WorkSource>,
         thread: ThreadId,
     ) -> VmId {
-        assert!(thread.0 < self.threads.len(), "{thread} out of range");
+        assert!(thread.0 < self.rqs.len(), "{thread} out of range");
         let id = VmId(self.vms.len());
-        self.threads[thread.0].sched.on_vm_added(id, &config);
-        self.threads[thread.0].vms.push(id);
+        self.rqs[thread.0].add_vm(id, &config);
         self.initial_credits.push(config.credit);
         self.vm_mcycles.push(0.0);
         self.placement.push(thread);
@@ -210,7 +215,7 @@ impl SmtHost {
     /// fraction, or `None` when uncapped.
     #[must_use]
     pub fn effective_cap(&self, vm: VmId) -> Option<f64> {
-        self.threads[self.placement[vm.0].0].sched.effective_cap(vm)
+        self.rqs[self.placement[vm.0].0].sched.effective_cap(vm)
     }
 
     /// Runs the host for `duration`.
@@ -221,66 +226,31 @@ impl SmtHost {
                 self.accounting_tick();
                 self.next_acct += self.acct_period;
             }
-            let step = self
-                .quantum
-                .min(end - self.now)
-                .min(self.next_acct - self.now);
-            self.advance(step);
-        }
-    }
-
-    fn advance(&mut self, dt: SimDuration) {
-        let slice_end = self.now + dt;
-        for vm in &mut self.vms {
-            vm.refill(slice_end, dt);
-        }
-        // First pass: each thread picks, so contention for this
-        // quantum is known before any work is executed.
-        let mut picks = std::mem::take(&mut self.picks_scratch);
-        let mut runnable = std::mem::take(&mut self.runnable_scratch);
-        picks.clear();
-        for t in &mut self.threads {
-            runnable.clear();
-            runnable.extend(
-                t.vms
-                    .iter()
-                    .copied()
-                    .filter(|id| self.vms[id.0].is_runnable()),
-            );
-            let pick = t.sched.pick_next(self.now, &runnable);
-            picks.push(pick.map(|vm| (vm, t.sched.max_slice(vm, self.now).min(dt))));
-        }
-        self.runnable_scratch = runnable;
-        let busy_threads = picks.iter().filter(|p| p.is_some()).count();
-        let factor = self.smt.per_thread_factor(busy_threads);
-        let contended = busy_threads >= self.threads.len() && self.threads.len() > 1;
-
-        let mcps = self.cpu.pstates().state(self.cpu.pstate()).effective_mcps();
-        let mut core_busy_secs: f64 = 0.0;
-        for (idx, &pick) in picks.iter().enumerate() {
-            let Some((vm, allowed)) = pick else { continue };
-            let capacity = mcps * factor * allowed.as_secs_f64();
-            let done = self.vms[vm.0].execute(capacity, slice_end);
-            let busy_frac = if capacity > 0.0 {
-                (done / capacity).min(1.0)
-            } else {
-                0.0
-            };
-            let busy_secs = allowed.as_secs_f64() * busy_frac;
-            let t = &mut self.threads[idx];
-            t.sched.charge(vm, SimDuration::from_secs_f64(busy_secs));
-            t.window_busy += busy_secs;
-            if contended {
-                t.window_contended += busy_secs;
+            let boundary = end.min(self.next_acct);
+            while self.now < boundary {
+                let step_end = step_core(
+                    &mut self.rqs,
+                    &mut self.vms,
+                    &mut self.cpu,
+                    self.smt,
+                    self.now,
+                    boundary,
+                    &mut self.runnable_scratch,
+                );
+                let busy = self.rqs.iter().filter(|rq| rq.ran.is_some()).count();
+                let contended = busy == self.rqs.len() && busy > 1;
+                for (t, rq) in self.threads.iter_mut().zip(&self.rqs) {
+                    let Some(ran) = rq.ran else { continue };
+                    t.window_busy += ran.busy_secs;
+                    if contended {
+                        t.window_contended += ran.busy_secs;
+                    }
+                    t.window_mcycles += ran.done;
+                    self.vm_mcycles[ran.vm.0] += ran.done;
+                }
+                self.now = step_end;
             }
-            t.window_mcycles += done;
-            self.vm_mcycles[vm.0] += done;
-            core_busy_secs = core_busy_secs.max(busy_secs);
         }
-        self.picks_scratch = picks;
-        self.cpu
-            .account(core_busy_secs / dt.as_secs_f64().max(1e-12), dt);
-        self.now = slice_end;
     }
 
     fn accounting_tick(&mut self) {
@@ -292,21 +262,17 @@ impl SmtHost {
             let total_mcycles: f64 = self.threads.iter().map(|t| t.window_mcycles).sum();
             let absolute_pct = 100.0 * total_mcycles / (self.fmax_mcps() * window);
             let smoothed = self.smoother.push(absolute_pct);
-            let mut target = self.planner.compute_new_freq(smoothed);
-
-            // Saturation rescue, as in `PasScheduler`: a pegged thread
-            // measures a load bounded by the current capacity, so
-            // climb one state while any thread is saturated.
-            let busiest = self
+            // A pegged thread measures a load bounded by the current
+            // capacity, so the busiest thread's load drives the
+            // saturation bump.
+            let busiest_pct = self
                 .threads
                 .iter()
-                .map(|t| t.window_busy / window)
+                .map(|t| 100.0 * t.window_busy / window)
                 .fold(0.0_f64, f64::max);
-            let current = self.cpu.pstate();
-            if busiest >= 0.99 && target <= current {
-                let table = self.planner.table();
-                target = cpumodel::PStateIdx((current.0 + 1).min(table.max_idx().0));
-            }
+            let target = self
+                .planner
+                .target_pstate(smoothed, busiest_pct, self.cpu.pstate());
 
             // Per-thread smoothed contention, then credit rewrite.
             for t_idx in 0..self.threads.len() {
@@ -323,29 +289,29 @@ impl SmtHost {
                     SmtAwareness::Naive => 1.0,
                     SmtAwareness::Aware => self.smt.contention_factor(overlap),
                 };
-                let vm_ids = self.threads[t_idx].vms.clone();
-                for vm in vm_ids {
+                let rq = &mut self.rqs[t_idx];
+                for &vm in &rq.vms {
                     let freq_comp = self.planner.compensate(self.initial_credits[vm.0], target);
                     let cap = if freq_comp.is_uncapped() {
                         None
                     } else {
                         Some((freq_comp.as_fraction() / contention).min(1.0))
                     };
-                    self.threads[t_idx].sched.set_cap(vm, cap);
+                    rq.sched.set_cap(vm, cap);
                 }
             }
             self.cpu
                 .set_pstate(target)
                 .expect("planner uses the cpu's own ladder");
         }
-        for t in &mut self.threads {
+        for (t, rq) in self.threads.iter_mut().zip(&mut self.rqs) {
             let mut ctx = SchedCtx {
                 now: self.now,
                 cpu: &mut self.cpu,
                 measured_load_pct: 0.0,
                 measured_absolute_pct: 0.0,
             };
-            t.sched.on_accounting(&mut ctx);
+            rq.sched.on_accounting(&mut ctx);
             t.window_busy = 0.0;
             t.window_contended = 0.0;
             t.window_mcycles = 0.0;
@@ -368,7 +334,7 @@ impl std::fmt::Debug for SmtHost {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::work::{ConstantDemand, Idle};
+    use crate::work::{test_batch, ConstantDemand, Idle};
     use cpumodel::machines;
 
     fn host(awareness: SmtAwareness) -> SmtHost {
@@ -496,6 +462,44 @@ mod tests {
         );
         h.run_for(SimDuration::from_secs(10));
         assert_eq!(h.cpu().pstate(), h.cpu().pstates().min_idx());
+    }
+
+    #[test]
+    fn contention_ends_at_the_sibling_drain_instant() {
+        // Thread 0 thrashes uncapped and saturates the core, which
+        // climbs to fmax well before 1 s.
+        let mut h = host(SmtAwareness::Naive);
+        let fmax = h.fmax_mcps();
+        let a = h.add_vm(
+            VmConfig::new("a", Credit::ZERO),
+            Box::new(ConstantDemand::new(fmax)),
+            ThreadId(0),
+        );
+        h.run_for(SimDuration::from_secs(1));
+        // Thread 1's uncapped batch, released at the 1 s tick, drains
+        // 3.4567 ms into the third quantum of the window at the
+        // contended rate.
+        let contended = h.smt().per_thread_factor(2);
+        let drain_s = 0.023_456_7;
+        let b = h.add_vm(
+            VmConfig::new("b", Credit::ZERO),
+            Box::new(test_batch(fmax * contended * drain_s)),
+            ThreadId(1),
+        );
+        let now = h.now();
+        h.vms[b.0].refill(now, SimDuration::ZERO);
+        let before = h.vm_mcycles[a.0];
+        let window_s = 0.1;
+        h.run_for(SimDuration::from_secs_f64(window_s));
+        assert_eq!(h.cpu().pstate(), h.cpu().pstates().max_idx());
+        assert!(h.vms[b.0].is_complete(), "the batch drained");
+        // Contended until the drain instant, the full rate after it.
+        let got = h.vm_mcycles[a.0] - before;
+        let want = fmax * (contended * drain_s + (window_s - drain_s));
+        assert!(
+            (got - want).abs() <= fmax * 1e-6,
+            "thread 0 ran {got} mega-cycles, closed form {want}"
+        );
     }
 
     #[test]
