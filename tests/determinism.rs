@@ -498,7 +498,7 @@ fn golden_values() -> Vec<(&'static str, u64)> {
         qos.p95_latency_s.to_bits(),
     ));
 
-    // A steady PAS host: V20 thrashing, V70 idle (the fused replay).
+    // A steady PAS host: V20 thrashing, V70 idle.
     let mut steady = HostConfig::optiplex_defaults(SchedulerKind::Pas).build();
     let fmax = steady.fmax_mcps();
     steady.add_vm(
