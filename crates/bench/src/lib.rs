@@ -1,24 +1,21 @@
-//! Shared configuration for the benchmark suite, plus the
-//! perf-trajectory harness behind `repro bench` (see [`harness`]).
+//! Shared configuration for the criterion benchmark suite.
 //!
 //! Every paper artefact has a bench target that regenerates it at
-//! quick fidelity (the shapes are fidelity-independent; see
-//! `EXPERIMENTS.md` for full-fidelity artefacts):
+//! quick fidelity (the shapes are fidelity-independent; `repro all`
+//! regenerates them at full fidelity):
 //!
 //! * `benches/figures.rs` — Figures 1–10,
 //! * `benches/tables.rs` — Tables 1–2 and the §5.2 validations,
 //! * `benches/ablations.rs` — the X1–X8 extension studies,
-//! * `benches/micro.rs` — hot-path micro-benchmarks (event queue,
-//!   scheduler dispatch, planner).
+//! * `benches/micro.rs` — hot-path micro-benchmarks (scheduler
+//!   dispatch, planner, one simulated host-second).
 //!
 //! The criterion benches measure *statistical* timing of isolated
-//! pieces; the [`harness`] module measures *whole-suite wall-clock*
-//! (plus peak RSS) and writes the `BENCH_<date>.json` artefact that
-//! PRs compare against.
+//! pieces. End-to-end throughput, set-up time and peak memory are
+//! measured by the separate `perfbench/` package that
+//! `BENCHMARK.json` describes.
 
 #![deny(missing_docs)]
-
-pub mod harness;
 
 use criterion::Criterion;
 

@@ -6,10 +6,6 @@
 //! repro all [--quick] [--jobs N]      # run everything
 //! repro fig9 [--quick] [--out D]      # one experiment, optional artefacts
 //! repro campaign spec.json [--quick] [--jobs N] [--out D]
-//! repro bench [--quick] [--out D]     # perf baseline → BENCH_<date>.json
-//! repro bench-check BENCH_x.json      # validate an artefact's schema
-//! repro bench-check --compare OLD NEW # per-benchmark deltas, exit 1 on
-//!                                     # a >20% group regression
 //! ```
 //!
 //! With `--out DIR`, each experiment writes `DIR/<id>.csv` (series)
@@ -36,7 +32,6 @@ struct Args {
     jobs: usize,
     trace: bool,
     trace_out: Option<PathBuf>,
-    compare: bool,
     addr: String,
     port: u16,
     token: Option<String>,
@@ -49,9 +44,6 @@ const USAGE: &str = "usage: repro <experiment>... [--quick] [--out DIR] [--jobs 
                             repro campaign <spec.json> [--quick] [--out DIR] [--jobs N] [--trace] [--trace-out DIR]\n\
                             repro serve [--addr A] [--port P] [--jobs N] [--token T] [--rate R] [--quick] [--out DIR]\n\
                             repro trace-summary <trace.jsonl>\n\
-                            repro bench [--quick] [--out DIR]\n\
-                            repro bench-check <BENCH_*.json>\n\
-                            repro bench-check --compare <old.json> <new.json>\n\
                             repro list\n";
 
 /// Pulls a value-taking flag's value off the argument stream. Every
@@ -81,7 +73,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut jobs = 1;
     let mut trace = false;
     let mut trace_out = None;
-    let mut compare = false;
     let mut addr = "127.0.0.1".to_owned();
     let mut port = 7077;
     let mut token = None;
@@ -95,7 +86,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
                 out = Some(PathBuf::from(dir));
             }
             "--trace" => trace = true,
-            "--compare" => compare = true,
             "--trace-out" => {
                 let dir = flag_value(&mut argv, "--trace-out", "a directory", "artefacts/")?;
                 trace = true;
@@ -156,7 +146,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
         jobs,
         trace,
         trace_out,
-        compare,
         addr,
         port,
         token,
@@ -391,132 +380,6 @@ fn run_trace_summary(args: &Args) -> ExitCode {
     }
 }
 
-/// Runs `repro bench`: the fixed macro-benchmark suite from
-/// `pas_bench::harness`, a stdout table plus the tracing-overhead
-/// A/B, and `BENCH_<date>.json` written to `--out DIR` (default: the
-/// current directory, conventionally the repo root).
-fn run_bench(args: &Args) -> ExitCode {
-    if args.names.len() > 1 {
-        eprintln!("error: `repro bench` takes no positional arguments");
-        return ExitCode::FAILURE;
-    }
-    let quick = args.fidelity == Fidelity::Quick;
-    let report = pas_bench::harness::run_suite(quick);
-    print!("{}", report.table());
-    // The tracer A/B on the 96-VM fleet: the measured cost of
-    // `--trace`, and the evidence the off path stays untouched.
-    // The pair runs interleaved, so its paired statistic (the median
-    // per-repetition ratio) is the number to read — not the ratio of
-    // the arms' medians, which drift-noise can swing either way.
-    if let Some(p) = report
-        .pairs
-        .iter()
-        .find(|p| p.measured == "fleet_96vms_trace_on")
-    {
-        println!(
-            "tracing overhead on the 96-VM fleet: {:+.2}% \
-             (median over {} interleaved off/on pairs)",
-            p.median_overhead_pct, p.reps
-        );
-    }
-    let json = report.to_json();
-    if let Err(e) = pas_bench::harness::validate(&json) {
-        eprintln!("error: emitted report fails its own schema: {e}");
-        return ExitCode::FAILURE;
-    }
-    let dir = args.out.clone().unwrap_or_else(|| PathBuf::from("."));
-    let path = dir.join(report.file_name());
-    if let Err(e) = metrics::export::write_artifact(&path, &json) {
-        eprintln!("failed to write {}: {e}", path.display());
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {}", path.display());
-    ExitCode::SUCCESS
-}
-
-/// Runs `repro bench-check <file>`: validates an emitted artefact
-/// against the `pas-repro-bench/v1` schema (the CI gate). With
-/// `--compare <old> <new>`, additionally prints the per-benchmark and
-/// per-group median deltas and fails when any group's summed median
-/// grew by more than
-/// [`REGRESSION_THRESHOLD_PCT`](pas_bench::harness::REGRESSION_THRESHOLD_PCT)
-/// percent.
-fn run_bench_check(args: &Args) -> ExitCode {
-    let paths = &args.names[1..];
-    if args.compare {
-        return run_bench_compare(paths);
-    }
-    let [path] = paths else {
-        eprintln!(
-            "error: `repro bench-check` takes exactly one BENCH_*.json file, got {}",
-            paths.len()
-        );
-        return ExitCode::FAILURE;
-    };
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: cannot read {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match pas_bench::harness::validate(&text) {
-        Ok(()) => {
-            println!("{path}: valid {}", pas_bench::harness::SCHEMA);
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: {path}: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// The `--compare` arm of `repro bench-check`: old artefact vs new.
-fn run_bench_compare(paths: &[String]) -> ExitCode {
-    let [old_path, new_path] = paths else {
-        eprintln!(
-            "error: `repro bench-check --compare` takes exactly two \
-             BENCH_*.json files (old, new), got {}",
-            paths.len()
-        );
-        return ExitCode::FAILURE;
-    };
-    let read = |path: &String| match std::fs::read_to_string(path) {
-        Ok(t) => Some(t),
-        Err(e) => {
-            eprintln!("error: cannot read {path}: {e}");
-            None
-        }
-    };
-    let (Some(old), Some(new)) = (read(old_path), read(new_path)) else {
-        return ExitCode::FAILURE;
-    };
-    let cmp = match pas_bench::harness::compare(&old, &new) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    print!("{}", cmp.table());
-    let threshold = pas_bench::harness::REGRESSION_THRESHOLD_PCT;
-    let bad = cmp.regressions(threshold);
-    if bad.is_empty() {
-        println!("no group regressed by more than {threshold:.0}%");
-        ExitCode::SUCCESS
-    } else {
-        for g in bad {
-            eprintln!(
-                "error: group `{}` regressed {:+.1}% ({:.2} ms -> {:.2} ms), \
-                 over the {threshold:.0}% threshold",
-                g.group, g.delta_pct, g.old_ms, g.new_ms
-            );
-        }
-        ExitCode::FAILURE
-    }
-}
-
 /// Runs `repro serve`: the campaign-as-a-service daemon. Prints the
 /// bound address on stdout (`listening on http://…`) and serves until
 /// `POST /shutdown`, draining accepted jobs before exiting.
@@ -558,8 +421,6 @@ fn main() -> ExitCode {
         Some("serve") => return run_serve(&args),
         Some("run") => return run_single(&args),
         Some("trace-summary") => return run_trace_summary(&args),
-        Some("bench") => return run_bench(&args),
-        Some("bench-check") => return run_bench_check(&args),
         _ => {}
     }
 
@@ -692,28 +553,6 @@ mod tests {
     fn empty_invocation_asks_for_help() {
         let a = parse(&[]).unwrap();
         assert_eq!(a.names, vec!["help"]);
-    }
-
-    #[test]
-    fn bench_subcommand_parses_with_quick_and_out() {
-        let a = parse(&["bench", "--quick", "--out", "artefacts"]).unwrap();
-        assert_eq!(a.names, vec!["bench"]);
-        assert_eq!(a.fidelity, Fidelity::Quick);
-        assert_eq!(a.out, Some(PathBuf::from("artefacts")));
-    }
-
-    #[test]
-    fn bench_check_takes_a_file_argument() {
-        let a = parse(&["bench-check", "BENCH_2026-08-07.json"]).unwrap();
-        assert_eq!(a.names, vec!["bench-check", "BENCH_2026-08-07.json"]);
-        assert!(!a.compare);
-    }
-
-    #[test]
-    fn bench_check_compare_takes_two_files() {
-        let a = parse(&["bench-check", "--compare", "old.json", "new.json"]).unwrap();
-        assert!(a.compare);
-        assert_eq!(a.names, vec!["bench-check", "old.json", "new.json"]);
     }
 
     #[test]

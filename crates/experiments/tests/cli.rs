@@ -80,10 +80,20 @@ fn out_swallowing_a_flag_fails_before_any_work() {
 
 #[test]
 fn unknown_experiment_fails_up_front() {
-    let out = repro(&["fig9", "nonsense", "--quick"]);
-    assert!(!out.status.success());
-    let stderr = String::from_utf8(out.stderr).expect("utf8");
-    assert!(stderr.contains("nonsense"), "{stderr}");
+    // `bench` is no subcommand: a script still calling it fails like
+    // any other unknown name instead of running something else.
+    for (args, name) in [
+        (&["fig9", "nonsense", "--quick"][..], "nonsense"),
+        (&["bench", "--quick"][..], "bench"),
+    ] {
+        let out = repro(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let stderr = String::from_utf8(out.stderr).expect("utf8");
+        assert!(
+            stderr.contains(&format!("unknown experiment {name:?}")),
+            "{stderr}"
+        );
+    }
 }
 
 /// The acceptance criterion: the full quick pipeline with `--jobs 1`

@@ -20,10 +20,14 @@ use trace::{EventKind, FreqCause, Record as _, Tracer};
 use crate::sched::{
     Credit2Scheduler, CreditScheduler, PasScheduler, SchedCtx, Scheduler, SedfScheduler,
 };
-use crate::slice::{slice_len, QUANTUM};
+use crate::slice::slice_len;
 use crate::stats::HostStats;
 use crate::vm::{Vm, VmConfig, VmId};
 use crate::work::WorkSource;
+
+/// Base governor sampling period; each governor stretches it by its
+/// own `sampling_multiplier`.
+const GOVERNOR_BASE_PERIOD: SimDuration = SimDuration::from_millis(50);
 
 /// Which hypervisor scheduler the host runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,11 +58,6 @@ pub struct HostConfig {
     /// Optional DVFS governor (`None` keeps the boot frequency, i.e.
     /// maximum — equivalent to the performance governor).
     pub governor: Option<Box<dyn Governor>>,
-    /// Scheduler quantum (Xen: 10 ms).
-    pub quantum: SimDuration,
-    /// Base governor sampling period; each governor stretches it by
-    /// its own `sampling_multiplier`.
-    pub governor_base_period: SimDuration,
     /// Telemetry snapshot period (the spacing of figure points).
     pub sample_period: SimDuration,
     /// PAS smoothing-window override (ablation; the paper uses 3).
@@ -70,17 +69,15 @@ pub struct HostConfig {
 }
 
 impl HostConfig {
-    /// The paper's testbed defaults: Optiplex 755 ladder, 10 ms
-    /// quantum, 50 ms base governor period, 10 s snapshots, no
-    /// governor installed.
+    /// The paper's testbed defaults: Optiplex 755 ladder, 10 s
+    /// snapshots, no governor installed. The 10 ms scheduler quantum
+    /// and the 50 ms base governor period are fixed for every host.
     #[must_use]
     pub fn optiplex_defaults(scheduler: SchedulerKind) -> Self {
         HostConfig {
             machine: cpumodel::machines::optiplex_755(),
             scheduler,
             governor: None,
-            quantum: QUANTUM,
-            governor_base_period: SimDuration::from_millis(50),
             sample_period: SimDuration::from_secs(10),
             pas_smoothing_window: None,
             pas_headroom_pct: None,
@@ -161,8 +158,8 @@ impl HostConfig {
             }
         };
         let gov_period = match &self.governor {
-            Some(g) => self.governor_base_period * u64::from(g.sampling_multiplier().max(1)),
-            None => self.governor_base_period,
+            Some(g) => GOVERNOR_BASE_PERIOD * u64::from(g.sampling_multiplier().max(1)),
+            None => GOVERNOR_BASE_PERIOD,
         };
         let acct_period = sched.accounting_period();
         Host {
@@ -172,7 +169,6 @@ impl HostConfig {
             cpufreq: self.governor.map(CpuFreq::new),
             vms: Vec::new(),
             stats: HostStats::new(),
-            quantum: self.quantum,
             acct_period,
             gov_period,
             sample_period: self.sample_period,
@@ -229,7 +225,6 @@ pub struct Host {
     cpufreq: Option<CpuFreq>,
     vms: Vec<Vm>,
     stats: HostStats,
-    quantum: SimDuration,
     acct_period: SimDuration,
     gov_period: SimDuration,
     sample_period: SimDuration,
@@ -237,7 +232,7 @@ pub struct Host {
     next_gov: SimTime,
     next_sample: SimTime,
     // Tracing is opt-in: `None` (the default) keeps the hot path to a
-    // single branch per site, pinned by the `trace_overhead` bench.
+    // single branch per site.
     tracer: Option<Box<Tracer>>,
     // Interned tracer name id per VM, indexed by `VmId` — a dense
     // sidecar so the hot pick-record path reads 4 bytes instead of
@@ -716,7 +711,7 @@ impl Host {
                 let cap_slice = self.sched.max_slice(vm, self.now);
                 let mcps = self.cpu.pstates().state(self.cpu.pstate()).effective_mcps();
                 let drain_secs = self.vms[vm.0].backlog_seconds_at(mcps);
-                slice_len(horizon, self.quantum, cap_slice, drain_secs)
+                slice_len(horizon, cap_slice, drain_secs)
             }
         };
         debug_assert!(!slice.is_zero());

@@ -27,17 +27,16 @@ use crate::vm::{Vm, VmConfig, VmId};
 
 /// The Xen Credit scheduler quantum: the longest a picked VM runs
 /// before the scheduler picks again.
-pub(crate) const QUANTUM: SimDuration = SimDuration::from_millis(10);
+const QUANTUM: SimDuration = SimDuration::from_millis(10);
 
 /// The length of a slice that runs one picked VM from now: the
-/// shortest of `horizon` (the time to the next boundary), `quantum`,
+/// shortest of `horizon` (the time to the next boundary), [`QUANTUM`],
 /// the VM's remaining cap `allowance` and `drain_secs`, the time its
 /// backlog takes to drain at its delivered rate (infinite at rate
 /// zero). Never zero while `horizon` is not.
 #[inline]
 pub(crate) fn slice_len(
     horizon: SimDuration,
-    quantum: SimDuration,
     allowance: SimDuration,
     drain_secs: f64,
 ) -> SimDuration {
@@ -46,7 +45,7 @@ pub(crate) fn slice_len(
     } else {
         horizon
     };
-    let s = horizon.min(quantum).min(allowance).min(drain);
+    let s = horizon.min(QUANTUM).min(allowance).min(drain);
     if s.is_zero() {
         // Sub-microsecond residue (cap or backlog): round up to the
         // clock resolution so time always advances.
@@ -134,7 +133,7 @@ pub(crate) fn step_core(
         if let Some(ran) = rq.ran {
             let allowance = rq.sched.max_slice(ran.vm, now);
             let drain_secs = vms[ran.vm.0].backlog_seconds_at(rate);
-            slice = slice.min(slice_len(horizon, QUANTUM, allowance, drain_secs));
+            slice = slice.min(slice_len(horizon, allowance, drain_secs));
         }
     }
 
@@ -172,12 +171,12 @@ mod tests {
     fn slice_is_the_shortest_bound_and_never_zero() {
         let (ms, us) = (SimDuration::from_millis, SimDuration::from_micros);
         let h = ms(100);
-        assert_eq!(slice_len(h, QUANTUM, ms(30), f64::INFINITY), QUANTUM);
-        assert_eq!(slice_len(h, QUANTUM, ms(6), f64::INFINITY), ms(6));
-        assert_eq!(slice_len(ms(4), QUANTUM, ms(6), f64::INFINITY), ms(4));
-        assert_eq!(slice_len(h, QUANTUM, ms(30), 0.002_500_4), us(2_500));
+        assert_eq!(slice_len(h, ms(30), f64::INFINITY), QUANTUM);
+        assert_eq!(slice_len(h, ms(6), f64::INFINITY), ms(6));
+        assert_eq!(slice_len(ms(4), ms(6), f64::INFINITY), ms(4));
+        assert_eq!(slice_len(h, ms(30), 0.002_500_4), us(2_500));
         // A sub-microsecond allowance or backlog still advances time.
-        assert_eq!(slice_len(h, QUANTUM, SimDuration::ZERO, 1.0), us(1));
-        assert_eq!(slice_len(h, QUANTUM, QUANTUM, 1e-9), us(1));
+        assert_eq!(slice_len(h, SimDuration::ZERO, 1.0), us(1));
+        assert_eq!(slice_len(h, QUANTUM, 1e-9), us(1));
     }
 }

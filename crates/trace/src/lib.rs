@@ -19,8 +19,8 @@
 //!   run is.
 //! * [`NullTracer`] — the disabled path: a no-op [`Record`] sink. The
 //!   host keeps its tracer in an `Option` so the tracer-off hot path
-//!   is a single branch; the `trace_overhead` bench group pins that
-//!   this stays in the noise.
+//!   is a single branch. perfbench's `trace.overhead_pct` measures
+//!   what tracing and profiling cost when switched on together.
 //! * [`Trace`] — the deterministic merge of many tracers, ordered by
 //!   `(sim_time, stream, seq)`.
 //! * [`render_jsonl`] — the JSONL artefact (schema

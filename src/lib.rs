@@ -19,7 +19,7 @@
 //! | [`campaign`] | declarative campaigns: JSON scenario specs, parameter sweeps, multi-seed statistics |
 //! | [`experiments`] | one module per paper table/figure + extensions; the `repro` binary |
 //! | [`server`] | campaign-as-a-service: std-only HTTP/1.1 daemon + composable middleware chain (`repro serve`) |
-//! | `pas-bench` | criterion bench targets: figures/tables at quick fidelity + hot-path micros (not re-exported; run via `cargo bench`) |
+//! | `pas-bench` | criterion bench targets: figures/tables at quick fidelity + hot-path micros (not re-exported; run via `cargo bench`); the end-to-end benchmark is the separate `perfbench/` package `BENCHMARK.json` describes |
 //!
 //! Third-party crates (`serde`, `serde_json`, `rand`, `proptest`,
 //! `criterion`) are vendored as API-subset shims under `shims/` so the
