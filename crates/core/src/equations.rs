@@ -76,6 +76,19 @@ impl Credit {
         self.0 == 0.0
     }
 
+    /// This credit as a scheduler cap: `None` when uncapped, otherwise
+    /// the fraction of the processor.
+    ///
+    /// ```
+    /// use pas_core::Credit;
+    /// assert_eq!(Credit::ZERO.as_cap(), None);
+    /// assert_eq!(Credit::percent(25.0).as_cap(), Some(0.25));
+    /// ```
+    #[must_use]
+    pub fn as_cap(self) -> Option<f64> {
+        (!self.is_uncapped()).then(|| self.as_fraction())
+    }
+
     /// Clamps to at most `pct` percent (e.g. 100% of one core).
     #[must_use]
     pub fn clamped_to(self, pct: f64) -> Credit {

@@ -134,6 +134,7 @@ impl SmtSpec {
     ///
     /// `busy` above `threads` is clamped; zero busy threads yield zero
     /// aggregate throughput.
+    #[inline]
     #[must_use]
     pub fn aggregate_factor(&self, busy: usize) -> f64 {
         let busy = busy.min(self.threads);
@@ -153,6 +154,7 @@ impl SmtSpec {
     ///
     /// `per_thread_factor(0)` is 1 by convention (an idle thread is
     /// not slowed); the value only multiplies actual busy time.
+    #[inline]
     #[must_use]
     pub fn per_thread_factor(&self, busy: usize) -> f64 {
         if busy <= 1 {

@@ -82,12 +82,7 @@ impl PasBackend for SimBackend<'_> {
             ));
         }
         for (i, credit) in credits.iter().enumerate() {
-            let cap = if credit.is_uncapped() {
-                None
-            } else {
-                Some(credit.as_fraction())
-            };
-            if !self.host.set_vm_cap(VmId(i), cap) {
+            if !self.host.set_vm_cap(VmId(i), credit.as_cap()) {
                 return Err(BackendError::new(
                     "apply credits",
                     format!(

@@ -1,18 +1,20 @@
 //! The host simulation loop.
 //!
 //! [`Host`] ties together one simulated processor ([`cpumodel::Cpu`]),
-//! a hypervisor [`Scheduler`], an optional DVFS governor
-//! ([`governors::CpuFreq`]), the VMs and the statistics engine.
+//! a hypervisor [`Scheduler`] and the VMs it runs, an optional DVFS
+//! governor ([`governors::CpuFreq`]) and the statistics engine.
 //!
 //! The loop advances in *variable-length slices*: each slice is the
 //! minimum of the scheduler quantum (Xen: 10 ms), the picked VM's cap
 //! or deadline allowance, its backlog drain time, and the distance to
 //! the next period boundary (accounting / governor / snapshot). This
 //! gives exact cap enforcement (a 20% cap on a 30 ms period yields
-//! precisely 6 ms) without a sub-millisecond fixed step. The
-//! multi-core and SMT hosts slice by the same rule.
+//! precisely 6 ms) without a sub-millisecond fixed step. A slice is
+//! one step of the slice loop the multi-core and SMT hosts also run
+//! (the private `slice` module), on the host's single runqueue with
+//! SMT off; the host adds its statistics and trace events.
 
-use cpumodel::Cpu;
+use cpumodel::{Cpu, SmtSpec};
 use governors::{CpuFreq, Governor};
 use simkernel::{SimDuration, SimTime};
 use trace::{EventKind, FreqCause, Record as _, Tracer};
@@ -20,7 +22,7 @@ use trace::{EventKind, FreqCause, Record as _, Tracer};
 use crate::sched::{
     Credit2Scheduler, CreditScheduler, PasScheduler, SchedCtx, Scheduler, SedfScheduler,
 };
-use crate::slice::slice_len;
+use crate::slice::{step_core, RunQueue};
 use crate::stats::HostStats;
 use crate::vm::{Vm, VmConfig, VmId};
 use crate::work::WorkSource;
@@ -165,9 +167,8 @@ impl HostConfig {
         Host {
             now: SimTime::ZERO,
             cpu,
-            sched,
+            rq: RunQueue::new(sched),
             cpufreq: self.governor.map(CpuFreq::new),
-            vms: Vec::new(),
             stats: HostStats::new(),
             acct_period,
             gov_period,
@@ -221,9 +222,9 @@ impl std::fmt::Debug for MigratedVm {
 pub struct Host {
     now: SimTime,
     cpu: Cpu,
-    sched: Box<dyn Scheduler>,
+    // The scheduler and the VMs, whose ids are the host's.
+    rq: RunQueue<dyn Scheduler>,
     cpufreq: Option<CpuFreq>,
-    vms: Vec<Vm>,
     stats: HostStats,
     acct_period: SimDuration,
     gov_period: SimDuration,
@@ -240,11 +241,11 @@ pub struct Host {
     // installed, empty otherwise.
     trace_ids: Vec<trace::NameId>,
     last_pick: Option<VmId>,
-    // Reusable runnable-scan buffer: `advance_one_slice` runs a few
-    // hundred thousand times per simulated fleet-minute, so the
-    // per-slice `Vec<VmId>` collect was a heap allocation on the
-    // hottest path in the workspace. Capacity is retained across
-    // slices; contents are rebuilt each slice.
+    // Reusable runnable-scan buffer for `step_core`, which runs a few
+    // hundred thousand times per simulated fleet-minute: a per-slice
+    // `Vec<VmId>` collect would be a heap allocation on the hottest
+    // path in the workspace. After each slice it holds the VMs that
+    // were runnable at its start, which the pick event reads.
     runnable_scratch: Vec<VmId>,
     // Wall-clock self-profiling (see `HostPerf`). Off by default so
     // the hot path pays one branch, never a clock read.
@@ -287,14 +288,11 @@ impl HostPerf {
 impl Host {
     /// Adds a VM with its workload; returns its id.
     pub fn add_vm(&mut self, config: VmConfig, work: Box<dyn WorkSource>) -> VmId {
-        let id = VmId(self.vms.len());
-        self.sched.on_vm_added(id, &config);
         self.stats.register_vm(&config.name);
-        let vm = Vm::new(id, config, work);
+        let id = self.rq.add_vm(config, work);
         if let Some(t) = self.tracer.as_mut() {
-            self.trace_ids.push(t.intern(&vm.name_tag));
+            self.trace_ids.push(t.intern(&self.rq.vms[id.0].name_tag));
         }
-        self.vms.push(vm);
         id
     }
 
@@ -343,7 +341,7 @@ impl Host {
     /// The scheduler's name ("credit", "sedf", "pas").
     #[must_use]
     pub fn scheduler_name(&self) -> &'static str {
-        self.sched.name()
+        self.rq.sched.name()
     }
 
     /// The machine's capacity at maximum frequency, in mega-cycles per
@@ -361,19 +359,19 @@ impl Host {
     /// Panics if `id` is unknown.
     #[must_use]
     pub fn vm(&self, id: VmId) -> &Vm {
-        &self.vms[id.0]
+        &self.rq.vms[id.0]
     }
 
     /// The scheduler's current cap for a VM (percent of wall time).
     #[must_use]
     pub fn effective_cap_pct(&self, id: VmId) -> Option<f64> {
-        self.sched.effective_cap(id).map(|c| c * 100.0)
+        self.rq.sched.effective_cap(id).map(|c| c * 100.0)
     }
 
     /// Number of VMs on this host.
     #[must_use]
     pub fn vm_count(&self) -> usize {
-        self.vms.len()
+        self.rq.vms.len()
     }
 
     /// Externally overrides a VM's cap (fraction of wall time; `None`
@@ -381,7 +379,7 @@ impl Host {
     /// external cap changes. This is the control surface the
     /// user-level PAS controllers of Section 4.1 use.
     pub fn set_vm_cap(&mut self, id: VmId, cap: Option<f64>) -> bool {
-        self.sched.set_cap_external(id, cap)
+        self.rq.sched.set_cap_external(id, cap)
     }
 
     /// Directly sets the processor P-state (the `userspace` governor
@@ -413,7 +411,7 @@ impl Host {
     ///
     /// Panics if `id` is unknown.
     pub fn retire_vm(&mut self, id: VmId) {
-        let vm = &mut self.vms[id.0];
+        let vm = &mut self.rq.vms[id.0];
         vm.replace_work(Box::new(crate::work::Idle));
         vm.backlog_mcycles = 0.0;
     }
@@ -432,7 +430,7 @@ impl Host {
     ///
     /// Panics if `id` is unknown.
     pub fn extract_vm(&mut self, id: VmId) -> MigratedVm {
-        let vm = &mut self.vms[id.0];
+        let vm = &mut self.rq.vms[id.0];
         let work = vm.replace_work(Box::new(crate::work::Idle));
         let backlog_mcycles = std::mem::replace(&mut vm.backlog_mcycles, 0.0);
         MigratedVm {
@@ -448,7 +446,7 @@ impl Host {
     /// VM's id *on this host*.
     pub fn admit_vm(&mut self, migrated: MigratedVm) -> VmId {
         let id = self.add_vm(migrated.config, migrated.work);
-        self.vms[id.0].backlog_mcycles = migrated.backlog_mcycles;
+        self.rq.vms[id.0].backlog_mcycles = migrated.backlog_mcycles;
         id
     }
 
@@ -459,7 +457,7 @@ impl Host {
     /// Panics if `id` is unknown.
     #[must_use]
     pub fn vm_qos(&self, id: VmId) -> Option<crate::work::QosSummary> {
-        self.vms[id.0].work().qos_summary()
+        self.rq.vms[id.0].work().qos_summary()
     }
 
     /// Installs a simulation-event tracer: from here on, scheduler
@@ -475,11 +473,12 @@ impl Host {
     pub fn set_tracer(&mut self, tracer: Tracer) {
         let mut tracer = tracer;
         self.trace_ids = self
+            .rq
             .vms
             .iter()
             .map(|vm| tracer.intern(&vm.name_tag))
             .collect();
-        self.sched.set_event_recording(true);
+        self.rq.sched.set_event_recording(true);
         self.last_pick = None;
         self.tracer = Some(Box::new(tracer));
     }
@@ -487,7 +486,7 @@ impl Host {
     /// Removes the tracer (switching scheduler event recording back
     /// off) and returns it with everything recorded so far.
     pub fn take_tracer(&mut self) -> Option<Tracer> {
-        self.sched.set_event_recording(false);
+        self.rq.sched.set_event_recording(false);
         self.trace_ids.clear();
         self.tracer.take().map(|t| *t)
     }
@@ -510,7 +509,8 @@ impl Host {
     /// only [`Host::add_vm`] / [`Host::admit_vm`] can end it.
     #[must_use]
     pub fn is_quiescent(&self) -> bool {
-        self.vms
+        self.rq
+            .vms
             .iter()
             .all(|vm| !vm.is_runnable() && vm.demand_exhausted())
     }
@@ -561,7 +561,7 @@ impl Host {
     /// boundary. The host stops at that instant.
     pub fn run_until_vm_finished(&mut self, id: VmId, limit: SimTime) -> Option<SimTime> {
         loop {
-            if self.vms[id.0].is_complete() {
+            if self.rq.vms[id.0].is_complete() {
                 self.handle_boundaries();
                 self.stats.set_elapsed(self.now);
                 return Some(self.now);
@@ -597,7 +597,7 @@ impl Host {
                 measured_load_pct: load,
                 measured_absolute_pct: abs,
             };
-            self.sched.on_accounting(&mut ctx);
+            self.rq.sched.on_accounting(&mut ctx);
             if let Some(prev) = prev_pstate {
                 self.note_freq_change(prev, FreqCause::Scheduler);
                 self.drain_sched_events();
@@ -624,10 +624,10 @@ impl Host {
         }
         if self.now >= self.next_sample {
             let t0 = self.profiling.then(std::time::Instant::now);
-            let caps: Vec<Option<f64>> = (0..self.vms.len())
-                .map(|i| self.sched.effective_cap(VmId(i)))
+            let caps: Vec<Option<f64>> = (0..self.rq.vms.len())
+                .map(|i| self.rq.sched.effective_cap(VmId(i)))
                 .collect();
-            let backlogs: Vec<f64> = self.vms.iter().map(|v| v.backlog_mcycles).collect();
+            let backlogs: Vec<f64> = self.rq.vms.iter().map(|v| v.backlog_mcycles).collect();
             self.stats.set_elapsed(self.now);
             self.stats
                 .take_snapshot(self.now, &self.cpu, &caps, &backlogs);
@@ -664,7 +664,7 @@ impl Host {
     /// Drains the scheduler's recorded cap rewrites into the tracer.
     /// Only called on the traced path.
     fn drain_sched_events(&mut self) {
-        let events = self.sched.take_sched_events();
+        let events = self.rq.sched.take_sched_events();
         if events.is_empty() {
             return;
         }
@@ -676,81 +676,59 @@ impl Host {
         }
     }
 
+    /// One step of the shared slice loop on the host's runqueue, then
+    /// what only this host observes: its statistics and, when traced,
+    /// the pick and completion events.
     fn advance_one_slice(&mut self, boundary: SimTime) {
-        let horizon = boundary - self.now;
-        let mut runnable = std::mem::take(&mut self.runnable_scratch);
-        runnable.clear();
-        runnable.extend(
-            self.vms
-                .iter()
-                .filter(|vm| vm.is_runnable())
-                .map(|vm| vm.id),
+        let start = self.now;
+        self.now = step_core(
+            std::slice::from_mut(&mut self.rq),
+            &mut self.cpu,
+            SmtSpec::off(),
+            start,
+            boundary,
+            &mut self.runnable_scratch,
         );
-        let pick = self.sched.pick_next(self.now, &runnable);
-        if self.tracer.is_some() && pick != self.last_pick {
+        match self.rq.ran {
+            Some(ran) => {
+                let abs_secs = ran.busy_secs * self.cpu.ratio() * self.cpu.cf();
+                self.stats.on_slice(Some((ran.vm, ran.busy_secs, abs_secs)));
+            }
+            None => self.stats.on_slice(None),
+        }
+        if self.tracer.is_some() {
+            self.trace_slice(start);
+        }
+    }
+
+    /// Records the events of the slice from `start` to now. Only
+    /// called on the traced path.
+    fn trace_slice(&mut self, start: SimTime) {
+        let Some(t) = self.tracer.as_mut() else {
+            return;
+        };
+        let pick = self.rq.ran.map(|ran| ran.vm);
+        if pick != self.last_pick {
             // A pick *change* is the event; re-picking the same VM
             // slice after slice is not. `preempt` marks the case where
-            // the displaced VM was still runnable — it lost the CPU
+            // the displaced VM was still runnable at `start` (the
+            // scratch buffer still lists those VMs) — it lost the CPU
             // rather than going idle.
             let preempt = match (self.last_pick, pick) {
-                (Some(prev), Some(_)) => runnable.contains(&prev),
+                (Some(prev), Some(_)) => self.runnable_scratch.contains(&prev),
                 _ => false,
             };
             let vm = pick.map(|v| self.trace_ids[v.0]);
-            let at_s = self.now.as_secs_f64();
-            if let Some(t) = self.tracer.as_mut() {
-                t.record_pick(at_s, vm, preempt);
-            }
+            t.record_pick(start.as_secs_f64(), vm, preempt);
             self.last_pick = pick;
         }
-        self.runnable_scratch = runnable;
-
-        let slice = match pick {
-            None => horizon,
-            Some(vm) => {
-                let cap_slice = self.sched.max_slice(vm, self.now);
-                let mcps = self.cpu.pstates().state(self.cpu.pstate()).effective_mcps();
-                let drain_secs = self.vms[vm.0].backlog_seconds_at(mcps);
-                slice_len(horizon, cap_slice, drain_secs)
-            }
-        };
-        debug_assert!(!slice.is_zero());
-
-        let slice_end = self.now + slice;
-        // Demand arrives continuously during the slice.
-        for vm in &mut self.vms {
-            vm.refill(slice_end, slice);
-        }
-
-        match pick {
-            Some(vm) => {
-                let capacity = self.cpu.work_capacity(slice);
-                let done = self.vms[vm.0].execute(capacity, slice_end);
-                let busy_frac = if capacity > 0.0 {
-                    (done / capacity).min(1.0)
-                } else {
-                    0.0
-                };
-                let busy_secs = slice.as_secs_f64() * busy_frac;
-                let busy = SimDuration::from_secs_f64(busy_secs);
-                self.sched.charge(vm, busy);
-                self.cpu.account(busy_frac, slice);
-                let abs_secs = busy_secs * self.cpu.ratio() * self.cpu.cf();
-                self.stats.on_slice(Some((vm, busy_secs, abs_secs)));
-                if self.tracer.is_some() && done > 0.0 && self.vms[vm.0].is_complete() {
-                    let name = self.vms[vm.0].name_tag.clone();
-                    let at_s = slice_end.as_secs_f64();
-                    if let Some(t) = self.tracer.as_mut() {
-                        t.record(at_s, EventKind::VmComplete { vm: name });
-                    }
-                }
-            }
-            None => {
-                self.cpu.account(0.0, slice);
-                self.stats.on_slice(None);
+        if let Some(ran) = self.rq.ran {
+            let vm = &self.rq.vms[ran.vm.0];
+            if ran.done > 0.0 && vm.is_complete() {
+                let name = vm.name_tag.clone();
+                t.record(self.now.as_secs_f64(), EventKind::VmComplete { vm: name });
             }
         }
-        self.now = slice_end;
     }
 }
 
@@ -758,8 +736,8 @@ impl std::fmt::Debug for Host {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Host")
             .field("now", &self.now)
-            .field("scheduler", &self.sched.name())
-            .field("vms", &self.vms.len())
+            .field("scheduler", &self.rq.sched.name())
+            .field("vms", &self.rq.vms.len())
             .field("pstate", &self.cpu.pstate())
             .finish()
     }

@@ -24,10 +24,13 @@
 //!   system: multi-core hosts with per-socket / per-core DVFS domains
 //!   and per-domain PAS,
 //! * [`smt`] — the hyper-threading perspective: logical CPUs sharing a
-//!   core, with naive vs contention-aware PAS credit compensation
-//!   (all three host models slice by one rule, kept in the private
-//!   `slice` module),
+//!   core, with naive vs contention-aware PAS credit compensation,
 //! * [`stats`] — load accounting and periodic snapshots.
+//!
+//! All three host models run one slice loop, kept in the private
+//! `slice` module: a host is one runqueue (a scheduler and the VMs it
+//! owns), a multi-core host one per core and an SMT host one per
+//! hardware thread.
 //!
 //! # Example: the paper's host in a few lines
 //!

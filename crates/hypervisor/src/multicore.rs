@@ -13,22 +13,23 @@
 //!   core), and compensates the credits of every VM in that domain for
 //!   the domain's frequency.
 //!
-//! Each core is one runqueue (a Credit scheduler and its pinned VMs)
-//! advanced by the single-core host's exact variable-length slices:
-//! a picked VM runs for the shortest of the 10 ms quantum, its
-//! remaining cap allowance and its backlog's drain time, and every
-//! slice ends at the next 100 ms accounting tick, sample or run end.
-//! Cores interact only at the ticks, so each core runs its own slices
-//! up to the next one.
+//! Each core is one runqueue (a Credit scheduler and the VMs pinned
+//! to it, which it owns) advanced by the slice loop the single-core
+//! host runs: a picked VM runs for the shortest of the 10 ms quantum,
+//! its remaining cap allowance and its backlog's drain time, and
+//! every slice ends at the next 100 ms accounting tick, sample or run
+//! end. Cores interact only at the ticks, so each core runs its own
+//! slices up to the next one. A VM's public [`VmId`] maps to its core
+//! and its id on that core's runqueue.
 
 use cpumodel::topology::{CoreId, CpuPackage, DomainId, Topology};
 use cpumodel::{MachineSpec, SmtSpec};
-use pas_core::{Credit, FreqPlanner, MovingAverage};
+use pas_core::{FreqPlanner, MovingAverage};
 use simkernel::{SimDuration, SimTime};
 
-use crate::sched::{SchedCtx, Scheduler};
+use crate::sched::{CreditScheduler, SchedCtx, Scheduler};
 use crate::slice::{step_core, RunQueue};
-use crate::vm::{Vm, VmConfig, VmId};
+use crate::vm::{VmConfig, VmId};
 use crate::work::WorkSource;
 
 /// Frequency management for the multi-core host.
@@ -53,7 +54,8 @@ struct CoreState {
     rq: RunQueue,
     window_busy: f64,
     window_abs: f64,
-    total_busy: f64,
+    /// Absolute busy seconds over the whole run, by local VM id.
+    vm_total_abs: Vec<f64>,
 }
 
 /// The multi-core host.
@@ -61,10 +63,8 @@ pub struct MultiHost {
     topo: Topology,
     pkg: CpuPackage,
     cores: Vec<CoreState>,
-    vms: Vec<Vm>,
-    placement: Vec<CoreId>,
-    initial_credits: Vec<Credit>,
-    vm_total_abs: Vec<f64>,
+    /// Each VM's core and its id on that core's runqueue, by public id.
+    placement: Vec<(CoreId, VmId)>,
     dvfs: MultiDvfs,
     planner: FreqPlanner,
     domain_smooth: Vec<MovingAverage>,
@@ -92,16 +92,13 @@ impl MultiHost {
             pkg,
             cores: (0..topo.n_cores())
                 .map(|_| CoreState {
-                    rq: RunQueue::new(acct_period),
+                    rq: RunQueue::new(Box::new(CreditScheduler::with_period(acct_period))),
                     window_busy: 0.0,
                     window_abs: 0.0,
-                    total_busy: 0.0,
+                    vm_total_abs: Vec::new(),
                 })
                 .collect(),
-            vms: Vec::new(),
             placement: Vec::new(),
-            initial_credits: Vec::new(),
-            vm_total_abs: Vec::new(),
             dvfs,
             planner,
             domain_smooth: (0..topo.n_domains())
@@ -125,12 +122,10 @@ impl MultiHost {
     /// Panics if `core` is out of range for the topology.
     pub fn add_vm(&mut self, config: VmConfig, work: Box<dyn WorkSource>, core: CoreId) -> VmId {
         assert!(core.0 < self.topo.n_cores(), "core {core} out of range");
-        let id = VmId(self.vms.len());
-        self.cores[core.0].rq.add_vm(id, &config);
-        self.initial_credits.push(config.credit);
-        self.vm_total_abs.push(0.0);
-        self.placement.push(core);
-        self.vms.push(Vm::new(id, config, work));
+        let id = VmId(self.placement.len());
+        let st = &mut self.cores[core.0];
+        self.placement.push((core, st.rq.add_vm(config, work)));
+        st.vm_total_abs.push(0.0);
         id
     }
 
@@ -170,22 +165,8 @@ impl MultiHost {
         if span <= 0.0 {
             0.0
         } else {
-            self.vm_total_abs[vm.0] / span
-        }
-    }
-
-    /// A core's busy fraction over the whole run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `core` is out of range.
-    #[must_use]
-    pub fn core_busy_fraction(&self, core: CoreId) -> f64 {
-        let span = self.now.as_secs_f64();
-        if span <= 0.0 {
-            0.0
-        } else {
-            self.cores[core.0].total_busy / span
+            let (core, local) = self.placement[vm.0];
+            self.cores[core.0].vm_total_abs[local.0] / span
         }
     }
 
@@ -226,7 +207,6 @@ impl MultiHost {
                 while t < boundary {
                     t = step_core(
                         std::slice::from_mut(&mut core.rq),
-                        &mut self.vms,
                         cpu,
                         SmtSpec::off(),
                         t,
@@ -237,8 +217,7 @@ impl MultiHost {
                         let abs_secs = ran.busy_secs * ratio_cf;
                         core.window_busy += ran.busy_secs;
                         core.window_abs += abs_secs;
-                        core.total_busy += ran.busy_secs;
-                        self.vm_total_abs[ran.vm.0] += abs_secs;
+                        core.vm_total_abs[ran.vm.0] += abs_secs;
                     }
                 }
             }
@@ -271,14 +250,9 @@ impl MultiHost {
                     .expect("valid p-state");
                 for c in &cores {
                     let rq = &mut self.cores[c.0].rq;
-                    for &vm in &rq.vms {
-                        let comp = self.planner.compensate(self.initial_credits[vm.0], target);
-                        let cap = if comp.is_uncapped() {
-                            None
-                        } else {
-                            Some(comp.as_fraction())
-                        };
-                        rq.sched.set_cap(vm, cap);
+                    for vm in &rq.vms {
+                        let cap = self.planner.compensate(vm.config.credit, target).as_cap();
+                        rq.sched.set_cap(vm.id, cap);
                     }
                 }
             }
@@ -317,7 +291,7 @@ impl std::fmt::Debug for MultiHost {
         f.debug_struct("MultiHost")
             .field("cores", &self.topo.n_cores())
             .field("domains", &self.topo.n_domains())
-            .field("vms", &self.vms.len())
+            .field("vms", &self.placement.len())
             .field("now", &self.now)
             .finish()
     }
@@ -329,6 +303,7 @@ mod tests {
     use crate::work::ConstantDemand;
     use cpumodel::machines;
     use cpumodel::topology::DvfsGranularity;
+    use pas_core::Credit;
 
     fn build(granularity: DvfsGranularity, dvfs: MultiDvfs, demands: &[f64]) -> MultiHost {
         let machine = machines::optiplex_755();

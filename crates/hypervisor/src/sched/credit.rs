@@ -73,12 +73,11 @@ impl Cap {
 #[derive(Debug)]
 pub struct CreditScheduler {
     period: SimDuration,
-    // Per-VM state indexed by `VmId.0`: the host hands out small
-    // dense ids, and `pick_next` runs once per slice, so a flat `Vec`
-    // beats hashing on the hot path. `None` marks ids this scheduler
-    // was never given (per-core schedulers on a multicore host each
-    // see a sparse subset of the global id space).
-    vms: Vec<Option<VmCredit>>,
+    // Per-VM state indexed by `VmId.0`: every host hands its
+    // schedulers dense ids (a multi-core or SMT runqueue numbers its
+    // own VMs), and `pick_next` runs once per slice, so a flat `Vec`
+    // beats hashing on the hot path.
+    vms: Vec<VmCredit>,
     rr_cursor: usize,
 }
 
@@ -120,11 +119,7 @@ impl CreditScheduler {
     ///
     /// Panics if the VM is unknown or the fraction is negative/NaN.
     pub fn set_cap(&mut self, vm: VmId, cap: Option<f64>) {
-        let entry = self
-            .vms
-            .get_mut(vm.0)
-            .and_then(Option::as_mut)
-            .expect("set_cap on unknown VM");
+        let entry = self.vms.get_mut(vm.0).expect("set_cap on unknown VM");
         entry.cap = cap.map(|c| {
             assert!(c.is_finite() && c >= 0.0, "invalid cap {c}");
             Cap::new(self.period, c.min(1.0))
@@ -139,7 +134,7 @@ impl CreditScheduler {
 
     #[inline]
     fn entry(&self, id: VmId) -> &VmCredit {
-        self.vms[id.0].as_ref().expect("unknown VM")
+        &self.vms[id.0]
     }
 
     fn eligible(&self, id: VmId) -> bool {
@@ -148,7 +143,7 @@ impl CreditScheduler {
     }
 
     fn total_weight(&self) -> u64 {
-        self.vms.iter().flatten().map(|v| u64::from(v.weight)).sum()
+        self.vms.iter().map(|v| u64::from(v.weight)).sum()
     }
 }
 
@@ -162,18 +157,11 @@ impl Scheduler for CreditScheduler {
     }
 
     fn on_vm_added(&mut self, id: VmId, cfg: &VmConfig) {
-        let cap = if cfg.credit.is_uncapped() {
-            None
-        } else {
-            Some(Cap::new(self.period, cfg.credit.as_fraction()))
-        };
-        if id.0 >= self.vms.len() {
-            self.vms.resize_with(id.0 + 1, || None);
-        }
-        self.vms[id.0] = Some(VmCredit {
+        assert_eq!(id.0, self.vms.len(), "VM ids must be dense");
+        self.vms.push(VmCredit {
             weight: cfg.weight,
             priority: cfg.priority,
-            cap,
+            cap: cfg.credit.as_cap().map(|c| Cap::new(self.period, c)),
             used: SimDuration::ZERO,
             credit_us: 0,
         });
@@ -182,7 +170,7 @@ impl Scheduler for CreditScheduler {
     fn on_accounting(&mut self, _ctx: &mut SchedCtx<'_>) {
         let total_weight = self.total_weight().max(1);
         let period_us = self.period.as_micros() as i64;
-        for vm in self.vms.iter_mut().flatten() {
+        for vm in &mut self.vms {
             vm.used = SimDuration::ZERO;
             let share = period_us * i64::from(vm.weight) / total_weight as i64;
             // Refill and clamp, as Xen does, so an idle VM cannot hoard
@@ -246,11 +234,7 @@ impl Scheduler for CreditScheduler {
     }
 
     fn charge(&mut self, vm: VmId, busy: SimDuration) {
-        let entry = self
-            .vms
-            .get_mut(vm.0)
-            .and_then(Option::as_mut)
-            .expect("charge on unknown VM");
+        let entry = &mut self.vms[vm.0];
         entry.used += busy;
         entry.credit_us -= busy.as_micros() as i64;
     }
@@ -260,7 +244,7 @@ impl Scheduler for CreditScheduler {
     }
 
     fn set_cap_external(&mut self, vm: VmId, cap: Option<f64>) -> bool {
-        if self.vms.get(vm.0).is_some_and(Option::is_some) {
+        if vm.0 < self.vms.len() {
             self.set_cap(vm, cap);
             true
         } else {
@@ -363,7 +347,7 @@ mod tests {
                                    // Burn v70 into OVER.
         s.charge(VmId(1), SimDuration::from_millis(25));
         // Reset usage so caps don't interfere, keep credit burned.
-        for vm in s.vms.iter_mut().flatten() {
+        for vm in &mut s.vms {
             vm.used = SimDuration::ZERO;
         }
         for _ in 0..4 {
@@ -452,7 +436,7 @@ mod tests {
             s.on_accounting(&mut ctx);
         }
         let period_us = s.period().as_micros() as i64;
-        for vm in s.vms.iter().flatten() {
+        for vm in &s.vms {
             assert!(vm.credit_us <= period_us, "idle credit cannot hoard");
         }
     }

@@ -45,9 +45,8 @@ struct VmCredit2 {
 /// ```
 #[derive(Debug, Default)]
 pub struct Credit2Scheduler {
-    // Indexed by `VmId.0`; `None` marks ids never added here (see
-    // `CreditScheduler::vms`).
-    vms: Vec<Option<VmCredit2>>,
+    // Indexed by `VmId.0`, which the host hands out densely.
+    vms: Vec<VmCredit2>,
     max_weight: u32,
 }
 
@@ -60,11 +59,11 @@ impl Credit2Scheduler {
 
     #[inline]
     fn entry(&self, id: VmId) -> &VmCredit2 {
-        self.vms[id.0].as_ref().expect("unknown VM")
+        &self.vms[id.0]
     }
 
     fn reset_credits(&mut self) {
-        for vm in self.vms.iter_mut().flatten() {
+        for vm in &mut self.vms {
             vm.credit_us = (vm.credit_us + CREDIT_INIT_US).min(CREDIT_INIT_US);
         }
     }
@@ -80,11 +79,9 @@ impl Scheduler for Credit2Scheduler {
     }
 
     fn on_vm_added(&mut self, id: VmId, cfg: &VmConfig) {
-        if id.0 >= self.vms.len() {
-            self.vms.resize_with(id.0 + 1, || None);
-        }
+        assert_eq!(id.0, self.vms.len(), "VM ids must be dense");
         self.max_weight = self.max_weight.max(cfg.weight);
-        self.vms[id.0] = Some(VmCredit2 {
+        self.vms.push(VmCredit2 {
             weight: cfg.weight,
             priority: cfg.priority,
             credit_us: CREDIT_INIT_US,
@@ -125,11 +122,7 @@ impl Scheduler for Credit2Scheduler {
 
     fn charge(&mut self, vm: VmId, busy: SimDuration) {
         let max_weight = i64::from(self.max_weight.max(1));
-        let entry = self
-            .vms
-            .get_mut(vm.0)
-            .and_then(Option::as_mut)
-            .expect("charge on unknown VM");
+        let entry = &mut self.vms[vm.0];
         // Burn inversely to weight: heavier VMs drain slower, so they
         // hold the "most credit" slot proportionally longer.
         let scaled = busy.as_micros() as i64 * max_weight / i64::from(entry.weight.max(1));

@@ -85,7 +85,8 @@ pub trait Scheduler: Send {
     /// The accounting period (Xen Credit: 30 ms).
     fn accounting_period(&self) -> SimDuration;
 
-    /// Registers a VM. Called by the host in `VmId` order.
+    /// Registers a VM. Ids are dense: the host registers `VmId(0)`,
+    /// `VmId(1)`, … in that order.
     fn on_vm_added(&mut self, id: VmId, cfg: &VmConfig);
 
     /// Runs the accounting-boundary bookkeeping (credit refill, cap

@@ -44,12 +44,14 @@ pub struct PasScheduler {
     inner: CreditScheduler,
     planner: FreqPlanner,
     smoother: MovingAverage,
-    initial: Vec<(VmId, Credit)>,
-    last_plan_pstate: Option<cpumodel::PStateIdx>,
+    /// The booked credits, indexed by `VmId.0`.
+    initial: Vec<Credit>,
     // Event recording (tracing): off by default, and kept strictly
     // observational — the cap computation below never reads it.
     record_events: bool,
-    last_caps: Vec<Option<Option<f64>>>,
+    // The last cap recorded per VM, by id, for the VMs recorded so
+    // far (a prefix, since ticks walk the ids in order).
+    last_caps: Vec<Option<f64>>,
     pending_events: Vec<SchedEvent>,
 }
 
@@ -64,7 +66,6 @@ impl PasScheduler {
             planner: FreqPlanner::new(cpu.pstates().clone()),
             smoother: MovingAverage::paper_default(),
             initial: Vec::new(),
-            last_plan_pstate: None,
             record_events: false,
             last_caps: Vec::new(),
             pending_events: Vec::new(),
@@ -85,12 +86,6 @@ impl PasScheduler {
         self.smoother = MovingAverage::new(window);
         self
     }
-
-    /// The P-state chosen by the most recent accounting tick.
-    #[must_use]
-    pub fn last_planned_pstate(&self) -> Option<cpumodel::PStateIdx> {
-        self.last_plan_pstate
-    }
 }
 
 impl Scheduler for PasScheduler {
@@ -103,8 +98,8 @@ impl Scheduler for PasScheduler {
     }
 
     fn on_vm_added(&mut self, id: VmId, cfg: &VmConfig) {
-        self.initial.push((id, cfg.credit));
         self.inner.on_vm_added(id, cfg);
+        self.initial.push(cfg.credit);
     }
 
     fn on_accounting(&mut self, ctx: &mut SchedCtx<'_>) {
@@ -118,22 +113,21 @@ impl Scheduler for PasScheduler {
             .planner
             .target_pstate(absolute, ctx.measured_load_pct, ctx.cpu.pstate());
 
-        for (i, (id, init)) in self.initial.iter().enumerate() {
-            let new_credit = self.planner.compensate(*init, target);
-            let cap = if new_credit.is_uncapped() {
-                None
-            } else {
-                Some(new_credit.as_fraction())
-            };
-            self.inner.set_cap(*id, cap);
+        for (i, &init) in self.initial.iter().enumerate() {
+            let id = VmId(i);
+            let cap = self.planner.compensate(init, target).as_cap();
+            self.inner.set_cap(id, cap);
             if self.record_events {
-                if self.last_caps.len() <= i {
-                    self.last_caps.resize(i + 1, None);
-                }
-                if self.last_caps[i] != Some(cap) {
-                    self.last_caps[i] = Some(cap);
+                let changed = match self.last_caps.get_mut(i) {
+                    Some(last) => std::mem::replace(last, cap) != cap,
+                    None => {
+                        self.last_caps.push(cap);
+                        true
+                    }
+                };
+                if changed {
                     self.pending_events.push(SchedEvent {
-                        vm: *id,
+                        vm: id,
                         cap_pct: cap.map(|c| c * 100.0),
                     });
                 }
@@ -142,7 +136,6 @@ impl Scheduler for PasScheduler {
         ctx.cpu
             .set_pstate(target)
             .expect("planner uses the cpu's own ladder");
-        self.last_plan_pstate = Some(target);
     }
 
     fn pick_next(&mut self, now: SimTime, runnable: &[VmId]) -> Option<VmId> {
@@ -179,7 +172,6 @@ impl std::fmt::Debug for PasScheduler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PasScheduler")
             .field("vms", &self.initial.len())
-            .field("last_plan_pstate", &self.last_plan_pstate)
             .finish()
     }
 }
@@ -280,14 +272,6 @@ mod tests {
         let slice = pas.max_slice(p.unwrap(), SimTime::ZERO);
         assert!(!slice.is_zero());
         pas.charge(p.unwrap(), slice);
-    }
-
-    #[test]
-    fn last_planned_pstate_tracks() {
-        let (mut pas, mut cpu) = setup();
-        assert!(pas.last_planned_pstate().is_none());
-        tick(&mut pas, &mut cpu, 20.0);
-        assert!(pas.last_planned_pstate().is_some());
     }
 
     #[test]

@@ -21,6 +21,9 @@ struct VmSedf {
     deadline: SimTime,
     /// Guaranteed time left in the current period.
     remaining: SimDuration,
+    /// How `pick_next` last picked this VM; `None` before its first
+    /// pick.
+    mode: Option<PickMode>,
 }
 
 /// Which path the last `pick_next` used for a VM; determines whether
@@ -51,10 +54,8 @@ enum PickMode {
 pub struct SedfScheduler {
     period: SimDuration,
     extra_default: bool,
-    // Both indexed by `VmId.0`; `None` marks ids never added here
-    // (see `CreditScheduler::vms`).
-    vms: Vec<Option<VmSedf>>,
-    last_mode: Vec<Option<PickMode>>,
+    // Indexed by `VmId.0`, which the host hands out densely.
+    vms: Vec<VmSedf>,
     rr_cursor: usize,
 }
 
@@ -80,18 +81,17 @@ impl SedfScheduler {
             period,
             extra_default,
             vms: Vec::new(),
-            last_mode: Vec::new(),
             rr_cursor: 0,
         }
     }
 
     #[inline]
     fn entry(&self, id: VmId) -> &VmSedf {
-        self.vms[id.0].as_ref().expect("unknown VM")
+        &self.vms[id.0]
     }
 
     fn refresh(&mut self, now: SimTime) {
-        for vm in self.vms.iter_mut().flatten() {
+        for vm in &mut self.vms {
             while now >= vm.deadline {
                 vm.deadline += vm.params.period;
                 vm.remaining = vm.params.slice;
@@ -113,17 +113,14 @@ impl Scheduler for SedfScheduler {
         let params = cfg.sedf.unwrap_or_else(|| {
             SedfParams::from_credit(cfg.credit, self.period, self.extra_default)
         });
-        if id.0 >= self.vms.len() {
-            self.vms.resize_with(id.0 + 1, || None);
-            self.last_mode.resize(id.0 + 1, None);
-        }
-        self.vms[id.0] = Some(VmSedf {
+        assert_eq!(id.0, self.vms.len(), "VM ids must be dense");
+        self.vms.push(VmSedf {
             params,
             priority: cfg.priority,
             deadline: SimTime::ZERO + params.period,
             remaining: params.slice,
+            mode: None,
         });
-        self.last_mode[id.0] = None;
     }
 
     fn on_accounting(&mut self, ctx: &mut SchedCtx<'_>) {
@@ -141,7 +138,7 @@ impl Scheduler for SedfScheduler {
             let vm = self.entry(id);
             vm.priority == Priority::Dom0 && !vm.remaining.is_zero()
         }) {
-            self.last_mode[dom0.0] = Some(PickMode::Guaranteed);
+            self.vms[dom0.0].mode = Some(PickMode::Guaranteed);
             return Some(dom0);
         }
         // EDF over VMs with guaranteed time left.
@@ -151,7 +148,7 @@ impl Scheduler for SedfScheduler {
             .filter(|&id| !self.entry(id).remaining.is_zero())
             .min_by_key(|&id| (self.entry(id).deadline, id.0));
         if let Some(pick) = guaranteed {
-            self.last_mode[pick.0] = Some(PickMode::Guaranteed);
+            self.vms[pick.0].mode = Some(PickMode::Guaranteed);
             return Some(pick);
         }
         // Extra time: round-robin over runnable extra-eligible VMs.
@@ -170,14 +167,14 @@ impl Scheduler for SedfScheduler {
             .filter(|&id| self.entry(id).params.extra)
             .nth(self.rr_cursor % n_extra)
             .expect("extra candidate counted above");
-        self.last_mode[pick.0] = Some(PickMode::Extra);
+        self.vms[pick.0].mode = Some(PickMode::Extra);
         Some(pick)
     }
 
     fn max_slice(&self, vm: VmId, now: SimTime) -> SimDuration {
         let entry = self.entry(vm);
         let to_deadline = entry.deadline.duration_since(now);
-        match self.last_mode.get(vm.0).copied().flatten() {
+        match entry.mode {
             Some(PickMode::Guaranteed) => entry.remaining.min(to_deadline),
             // Extra time runs in small grains so guaranteed VMs can
             // preempt at the next decision point.
@@ -186,18 +183,8 @@ impl Scheduler for SedfScheduler {
     }
 
     fn charge(&mut self, vm: VmId, busy: SimDuration) {
-        let mode = self
-            .last_mode
-            .get(vm.0)
-            .copied()
-            .flatten()
-            .unwrap_or(PickMode::Extra);
-        let entry = self
-            .vms
-            .get_mut(vm.0)
-            .and_then(Option::as_mut)
-            .expect("charge on unknown VM");
-        if mode == PickMode::Guaranteed {
+        let entry = &mut self.vms[vm.0];
+        if entry.mode == Some(PickMode::Guaranteed) {
             entry.remaining = entry.remaining.saturating_sub(busy);
         }
     }

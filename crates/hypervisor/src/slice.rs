@@ -1,29 +1,30 @@
-//! The slice rule every host model shares, and the joint step of the
-//! runqueues on one physical core.
+//! The one slice loop every host model runs.
 //!
-//! [`slice_len`] is the single-core host's rule: a picked VM runs for
-//! the shortest of the scheduler quantum, its remaining cap
-//! allowance, its backlog's drain time at the rate it is delivered,
-//! and the time to the next boundary (accounting tick, sample, run
-//! end). A sub-microsecond result rounds up to the 1 µs clock
-//! resolution. [`Host`](crate::Host) calls it once per slice;
-//! [`step_core`] calls it once per busy runqueue and runs the
-//! shortest.
+//! A [`RunQueue`] is a scheduler and the VMs it runs, which it owns.
+//! Their ids are local to it: dense from 0 in the order they were
+//! added. [`Host`](crate::Host) is one runqueue with any scheduler.
+//! [`MultiHost`](crate::multicore::MultiHost) has one Credit runqueue
+//! per core and [`SmtHost`](crate::smt::SmtHost) one per hardware
+//! thread; both map each public [`VmId`] to its runqueue and local id.
 //!
-//! A [`RunQueue`] is one core's Credit scheduler with the VMs pinned
-//! to it ([`MultiHost`](crate::multicore::MultiHost)), or one hardware
-//! thread's ([`SmtHost`](crate::smt::SmtHost)). The runqueues of one
-//! physical core share its frequency and, with SMT, its execution
+//! [`step_core`] advances the runqueues of one physical core by one
+//! slice. They share its frequency and, with SMT, its execution
 //! resources: when `busy` of them run, each delivers
-//! `mcps · per_thread_factor(busy)` mega-cycles per second. A joint
-//! step ends at the first busy runqueue's bound, so contention starts
-//! and stops exactly when a sibling does.
+//! `mcps · per_thread_factor(busy)` mega-cycles per second. Each busy
+//! runqueue bounds the slice by [`slice_len`]: the scheduler quantum,
+//! its pick's remaining cap allowance, its pick's backlog drain time
+//! at the delivered rate, and the time to the next boundary
+//! (accounting tick, sample, run end). The slice is the shortest
+//! bound, so SMT contention starts and stops exactly when a sibling
+//! does. A sub-microsecond bound rounds up to the 1 µs clock
+//! resolution.
 
 use cpumodel::{Cpu, SmtSpec};
 use simkernel::{SimDuration, SimTime};
 
 use crate::sched::{CreditScheduler, Scheduler};
 use crate::vm::{Vm, VmConfig, VmId};
+use crate::work::WorkSource;
 
 /// The Xen Credit scheduler quantum: the longest a picked VM runs
 /// before the scheduler picks again.
@@ -35,11 +36,7 @@ const QUANTUM: SimDuration = SimDuration::from_millis(10);
 /// backlog takes to drain at its delivered rate (infinite at rate
 /// zero). Never zero while `horizon` is not.
 #[inline]
-pub(crate) fn slice_len(
-    horizon: SimDuration,
-    allowance: SimDuration,
-    drain_secs: f64,
-) -> SimDuration {
+fn slice_len(horizon: SimDuration, allowance: SimDuration, drain_secs: f64) -> SimDuration {
     let drain = if drain_secs.is_finite() {
         SimDuration::from_secs_f64(drain_secs.min(horizon.as_secs_f64()))
     } else {
@@ -55,20 +52,19 @@ pub(crate) fn slice_len(
     }
 }
 
-/// One core's or one hardware thread's Credit scheduler and the VMs
-/// pinned to it.
-pub(crate) struct RunQueue {
-    pub(crate) sched: CreditScheduler,
-    /// The pinned VMs, in ascending id order.
-    pub(crate) vms: Vec<VmId>,
+/// A scheduler and the VMs it runs.
+pub(crate) struct RunQueue<S: Scheduler + ?Sized = CreditScheduler> {
+    /// The VMs, indexed by their local [`VmId`].
+    pub(crate) vms: Vec<Vm>,
     /// What the last [`step_core`] ran here, or `None` if it idled.
     pub(crate) ran: Option<Ran>,
+    pub(crate) sched: Box<S>,
 }
 
-/// One runqueue's share of a joint step.
+/// One runqueue's share of a slice.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Ran {
-    /// The VM that ran.
+    /// The local id of the VM that ran.
     pub(crate) vm: VmId,
     /// Mega-cycles it executed.
     pub(crate) done: f64,
@@ -76,39 +72,48 @@ pub(crate) struct Ran {
     pub(crate) busy_secs: f64,
 }
 
-impl RunQueue {
-    /// An empty runqueue whose Credit scheduler refills every
-    /// `acct_period`.
-    pub(crate) fn new(acct_period: SimDuration) -> Self {
+impl<S: Scheduler + ?Sized> RunQueue<S> {
+    /// An empty runqueue under `sched`.
+    pub(crate) fn new(sched: Box<S>) -> Self {
         RunQueue {
-            sched: CreditScheduler::with_period(acct_period),
             vms: Vec::new(),
             ran: None,
+            sched,
         }
     }
 
-    /// Pins VM `id` here.
-    pub(crate) fn add_vm(&mut self, id: VmId, config: &VmConfig) {
-        self.sched.on_vm_added(id, config);
-        self.vms.push(id);
+    /// Adds a VM running `work` and returns its local id.
+    pub(crate) fn add_vm(&mut self, config: VmConfig, work: Box<dyn WorkSource>) -> VmId {
+        let id = VmId(self.vms.len());
+        self.sched.on_vm_added(id, &config);
+        self.vms.push(Vm::new(id, config, work));
+        id
     }
 }
 
-/// Advances the runqueues of one physical core by one joint slice
-/// from `now`, ending no later than `boundary` (which must lie after
+/// Advances the runqueues of one physical core by one slice from
+/// `now`, ending no later than `boundary` (which must lie after
 /// `now`), and returns the slice's end.
 ///
-/// As in [`Host`](crate::Host), each runqueue picks among its VMs
-/// runnable at `now`, before any demand arrives for the slice. The
-/// slice is the shortest [`slice_len`] over the picks at their
-/// delivered rate (the whole horizon when none picks). Every pinned
-/// VM is then refilled for the slice, each pick executes and is
-/// charged its busy time, and the core accounts the busiest
-/// runqueue's fraction. Each runqueue's [`RunQueue::ran`] holds its
-/// outcome.
-pub(crate) fn step_core(
-    rqs: &mut [RunQueue],
-    vms: &mut [Vm],
+/// 1. **Pick.** Each runqueue picks among its VMs runnable at `now`,
+///    before any demand arrives for the slice.
+/// 2. **Length.** The slice is the shortest [`slice_len`] over the
+///    picks at their delivered rate (the whole horizon when none
+///    picks).
+/// 3. **Refill.** Every VM's backlog grows by its demand for the
+///    slice.
+/// 4. **Execute and charge.** Each pick executes and is charged its
+///    busy time.
+/// 5. **Account.** The core integrates energy at the busiest
+///    runqueue's busy fraction.
+///
+/// Each runqueue's [`RunQueue::ran`] holds its outcome. On return,
+/// `runnable` still holds the last runqueue's VMs runnable at `now`:
+/// [`Host`](crate::Host), which steps a single runqueue, reads it to
+/// tell a preemption from a switch to idle.
+#[inline]
+pub(crate) fn step_core<S: Scheduler + ?Sized>(
+    rqs: &mut [RunQueue<S>],
     cpu: &mut Cpu,
     smt: SmtSpec,
     now: SimTime,
@@ -118,7 +123,7 @@ pub(crate) fn step_core(
     let mut busy = 0;
     for rq in rqs.iter_mut() {
         runnable.clear();
-        runnable.extend(rq.vms.iter().copied().filter(|id| vms[id.0].is_runnable()));
+        runnable.extend(rq.vms.iter().filter(|vm| vm.is_runnable()).map(|vm| vm.id));
         rq.ran = rq.sched.pick_next(now, runnable).map(|vm| Ran {
             vm,
             done: 0.0,
@@ -132,10 +137,11 @@ pub(crate) fn step_core(
     for rq in rqs.iter() {
         if let Some(ran) = rq.ran {
             let allowance = rq.sched.max_slice(ran.vm, now);
-            let drain_secs = vms[ran.vm.0].backlog_seconds_at(rate);
+            let drain_secs = rq.vms[ran.vm.0].backlog_seconds_at(rate);
             slice = slice.min(slice_len(horizon, allowance, drain_secs));
         }
     }
+    debug_assert!(!slice.is_zero());
 
     let end = now + slice;
     let secs = slice.as_secs_f64();
@@ -143,11 +149,11 @@ pub(crate) fn step_core(
     let mut core_busy: f64 = 0.0;
     for rq in rqs.iter_mut() {
         // Demand arrives continuously during the slice.
-        for id in &rq.vms {
-            vms[id.0].refill(end, slice);
+        for vm in &mut rq.vms {
+            vm.refill(end, slice);
         }
         if let Some(ran) = rq.ran.as_mut() {
-            ran.done = vms[ran.vm.0].execute(capacity, end);
+            ran.done = rq.vms[ran.vm.0].execute(capacity, end);
             let busy_frac = if capacity > 0.0 {
                 (ran.done / capacity).min(1.0)
             } else {

@@ -17,14 +17,16 @@
 //!   verbatim) or **SMT-aware** (additionally dividing by the observed
 //!   per-thread [contention factor](SmtSpec::contention_factor)).
 //!
-//! Each logical CPU is one runqueue (a Credit scheduler and its pinned
-//! VMs), and the core advances all of them by one joint step of the
-//! single-core host's exact variable-length slice rule: every busy
-//! thread bounds the step by the 10 ms quantum, its VM's remaining cap
-//! allowance and its backlog's drain time at the contended rate, and
-//! the step runs the shortest bound, ending at the next 100 ms
-//! accounting tick or run end at the latest. Contention therefore
-//! starts and stops exactly when a sibling does.
+//! Each logical CPU is one runqueue (a Credit scheduler and the VMs
+//! pinned to it, which it owns), and the core advances all of them by
+//! one joint step of the slice loop the single-core host runs: every
+//! busy thread bounds the step by the 10 ms quantum, its VM's
+//! remaining cap allowance and its backlog's drain time at the
+//! contended rate, and the step runs the shortest bound, ending at
+//! the next 100 ms accounting tick or run end at the latest.
+//! Contention therefore starts and stops exactly when a sibling does.
+//! A VM's public [`VmId`] maps to its thread and its id on that
+//! thread's runqueue.
 //!
 //! The experiment built on this host (`experiments::smt`) shows the
 //! gap the paper predicts: the verbatim PAS under-delivers booked
@@ -33,12 +35,12 @@
 
 use cpumodel::smt::SmtSpec;
 use cpumodel::{Cpu, MachineSpec};
-use pas_core::{Credit, FreqPlanner, MovingAverage};
+use pas_core::{FreqPlanner, MovingAverage};
 use simkernel::{SimDuration, SimTime};
 
-use crate::sched::{SchedCtx, Scheduler};
+use crate::sched::{CreditScheduler, SchedCtx, Scheduler};
 use crate::slice::{step_core, RunQueue};
-use crate::vm::{Vm, VmConfig, VmId};
+use crate::vm::{VmConfig, VmId};
 use crate::work::WorkSource;
 
 /// A logical CPU (hardware thread) on the SMT host.
@@ -73,6 +75,8 @@ struct ThreadState {
     window_mcycles: f64,
     /// Smoothed contended-fraction of busy time.
     overlap: MovingAverage,
+    /// Delivered mega-cycles over the whole run, by local VM id.
+    vm_mcycles: Vec<f64>,
 }
 
 /// The hyper-threaded single-core host.
@@ -82,10 +86,9 @@ pub struct SmtHost {
     /// One runqueue per logical CPU, indexed by [`ThreadId`].
     rqs: Vec<RunQueue>,
     threads: Vec<ThreadState>,
-    vms: Vec<Vm>,
-    placement: Vec<ThreadId>,
-    initial_credits: Vec<Credit>,
-    vm_mcycles: Vec<f64>,
+    /// Each VM's thread and its id on that thread's runqueue, by
+    /// public id.
+    placement: Vec<(ThreadId, VmId)>,
     awareness: SmtAwareness,
     planner: FreqPlanner,
     smoother: MovingAverage,
@@ -107,7 +110,7 @@ impl SmtHost {
             smt,
             cpu: machine.build_cpu(),
             rqs: (0..smt.threads())
-                .map(|_| RunQueue::new(acct_period))
+                .map(|_| RunQueue::new(Box::new(CreditScheduler::with_period(acct_period))))
                 .collect(),
             threads: (0..smt.threads())
                 .map(|_| ThreadState {
@@ -115,12 +118,10 @@ impl SmtHost {
                     window_contended: 0.0,
                     window_mcycles: 0.0,
                     overlap: MovingAverage::paper_default(),
+                    vm_mcycles: Vec::new(),
                 })
                 .collect(),
-            vms: Vec::new(),
             placement: Vec::new(),
-            initial_credits: Vec::new(),
-            vm_mcycles: Vec::new(),
             awareness,
             planner: FreqPlanner::new(machine.pstate_table()),
             smoother: MovingAverage::paper_default(),
@@ -144,12 +145,10 @@ impl SmtHost {
         thread: ThreadId,
     ) -> VmId {
         assert!(thread.0 < self.rqs.len(), "{thread} out of range");
-        let id = VmId(self.vms.len());
-        self.rqs[thread.0].add_vm(id, &config);
-        self.initial_credits.push(config.credit);
-        self.vm_mcycles.push(0.0);
-        self.placement.push(thread);
-        self.vms.push(Vm::new(id, config, work));
+        let id = VmId(self.placement.len());
+        self.placement
+            .push((thread, self.rqs[thread.0].add_vm(config, work)));
+        self.threads[thread.0].vm_mcycles.push(0.0);
         id
     }
 
@@ -197,7 +196,8 @@ impl SmtHost {
         if span <= 0.0 {
             0.0
         } else {
-            self.vm_mcycles[vm.0] / (self.fmax_mcps() * span)
+            let (thread, local) = self.placement[vm.0];
+            self.threads[thread.0].vm_mcycles[local.0] / (self.fmax_mcps() * span)
         }
     }
 
@@ -208,14 +208,15 @@ impl SmtHost {
     /// Panics if `vm` is unknown.
     #[must_use]
     pub fn thread_of(&self, vm: VmId) -> ThreadId {
-        self.placement[vm.0]
+        self.placement[vm.0].0
     }
 
     /// The current cap of a VM on its thread's scheduler, as a
     /// fraction, or `None` when uncapped.
     #[must_use]
     pub fn effective_cap(&self, vm: VmId) -> Option<f64> {
-        self.rqs[self.placement[vm.0].0].sched.effective_cap(vm)
+        let (thread, local) = self.placement[vm.0];
+        self.rqs[thread.0].sched.effective_cap(local)
     }
 
     /// Runs the host for `duration`.
@@ -230,7 +231,6 @@ impl SmtHost {
             while self.now < boundary {
                 let step_end = step_core(
                     &mut self.rqs,
-                    &mut self.vms,
                     &mut self.cpu,
                     self.smt,
                     self.now,
@@ -246,7 +246,7 @@ impl SmtHost {
                         t.window_contended += ran.busy_secs;
                     }
                     t.window_mcycles += ran.done;
-                    self.vm_mcycles[ran.vm.0] += ran.done;
+                    t.vm_mcycles[ran.vm.0] += ran.done;
                 }
                 self.now = step_end;
             }
@@ -290,14 +290,11 @@ impl SmtHost {
                     SmtAwareness::Aware => self.smt.contention_factor(overlap),
                 };
                 let rq = &mut self.rqs[t_idx];
-                for &vm in &rq.vms {
-                    let freq_comp = self.planner.compensate(self.initial_credits[vm.0], target);
-                    let cap = if freq_comp.is_uncapped() {
-                        None
-                    } else {
-                        Some((freq_comp.as_fraction() / contention).min(1.0))
-                    };
-                    rq.sched.set_cap(vm, cap);
+                for vm in &rq.vms {
+                    let freq_comp = self.planner.compensate(vm.config.credit, target);
+                    // `set_cap` clamps the quotient at the wall clock.
+                    let cap = freq_comp.as_cap().map(|c| c / contention);
+                    rq.sched.set_cap(vm.id, cap);
                 }
             }
             self.cpu
@@ -325,7 +322,7 @@ impl std::fmt::Debug for SmtHost {
         f.debug_struct("SmtHost")
             .field("smt", &self.smt)
             .field("awareness", &self.awareness)
-            .field("vms", &self.vms.len())
+            .field("vms", &self.placement.len())
             .field("now", &self.now)
             .finish()
     }
@@ -336,6 +333,7 @@ mod tests {
     use super::*;
     use crate::work::{test_batch, ConstantDemand, Idle};
     use cpumodel::machines;
+    use pas_core::Credit;
 
     fn host(awareness: SmtAwareness) -> SmtHost {
         SmtHost::new(
@@ -487,14 +485,15 @@ mod tests {
             ThreadId(1),
         );
         let now = h.now();
-        h.vms[b.0].refill(now, SimDuration::ZERO);
-        let before = h.vm_mcycles[a.0];
+        let ((ta, la), (tb, lb)) = (h.placement[a.0], h.placement[b.0]);
+        h.rqs[tb.0].vms[lb.0].refill(now, SimDuration::ZERO);
+        let before = h.threads[ta.0].vm_mcycles[la.0];
         let window_s = 0.1;
         h.run_for(SimDuration::from_secs_f64(window_s));
         assert_eq!(h.cpu().pstate(), h.cpu().pstates().max_idx());
-        assert!(h.vms[b.0].is_complete(), "the batch drained");
+        assert!(h.rqs[tb.0].vms[lb.0].is_complete(), "the batch drained");
         // Contended until the drain instant, the full rate after it.
-        let got = h.vm_mcycles[a.0] - before;
+        let got = h.threads[ta.0].vm_mcycles[la.0] - before;
         let want = fmax * (contended * drain_s + (window_s - drain_s));
         assert!(
             (got - want).abs() <= fmax * 1e-6,

@@ -127,7 +127,9 @@ impl VmConfig {
 /// A VM at run time: its configuration, its workload, and the demand
 /// backlog mediating between them.
 pub struct Vm {
-    /// The VM's id on its host.
+    /// The VM's id on its scheduler: the host's id on a
+    /// [`Host`](crate::Host), the id local to its core or hardware
+    /// thread on a multi-core or SMT host.
     pub id: VmId,
     /// Static configuration.
     pub config: VmConfig,
