@@ -414,8 +414,16 @@ fn mixed_fleet_artifacts_are_byte_identical_across_jobs_and_shards() {
     }
 }
 
+/// FNV-1a 64 of `bytes`: a short pin for a long artefact.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// The values behind [`golden_bits_are_pinned`], as `(name, bits)`:
-/// floats as raw `f64::to_bits`, counts as themselves.
+/// floats as raw `f64::to_bits`, counts as themselves, artefacts as
+/// their [`fnv1a64`] digest.
 fn golden_values() -> Vec<(&'static str, u64)> {
     use pas_repro::cluster::{Fleet, FleetConfig, MigrationTrigger, ShardConfig, VmSpec};
     use pas_repro::cpumodel::machines;
@@ -427,6 +435,7 @@ fn golden_values() -> Vec<(&'static str, u64)> {
     use pas_repro::hypervisor::{HostConfig, VmConfig};
     use pas_repro::pas_core::Credit;
     use pas_repro::simkernel::SimDuration;
+    use pas_repro::trace::{render_jsonl, Trace, Tracer};
 
     let mut golden = Vec::new();
 
@@ -512,6 +521,21 @@ fn golden_values() -> Vec<(&'static str, u64)> {
         steady.cpu().energy().joules().to_bits(),
     ));
 
+    // The same host traced for its first 6 s, into a ring that drops
+    // nothing: its picks, frequency changes and cap rewrites, in order.
+    let mut traced = HostConfig::optiplex_defaults(SchedulerKind::Pas).build();
+    traced.add_vm(
+        VmConfig::new("v20", Credit::percent(20.0)),
+        Box::new(ConstantDemand::new(fmax)),
+    );
+    traced.add_vm(VmConfig::new("v70", Credit::percent(70.0)), Box::new(Idle));
+    traced.set_tracer(Tracer::new(1, 4096).with_host(0));
+    traced.run_for(SimDuration::from_secs(6));
+    let tracer = traced.take_tracer().expect("tracer installed");
+    assert_eq!(tracer.dropped(), 0, "the ring must keep every event");
+    let jsonl = render_jsonl("steady_pas", &[(None, &Trace::merge(vec![tracer]))]);
+    golden.push(("steady_pas.trace_fnv1a64", fnv1a64(jsonl.as_bytes())));
+
     // A 2 × 2 per-core-DVFS PAS multi-core host, every core thrashing.
     let mut multi = MultiHost::new(
         &machines::optiplex_755(),
@@ -571,6 +595,7 @@ fn golden_bits_are_pinned() {
         ("credit_ondemand.v20_mean_latency_s", 0x4013d6cf42726d3f),
         ("credit_ondemand.v20_p95_latency_s", 0x4020d04a515ce9e6),
         ("steady_pas.energy_j", 0x40b7f06db0da5e64),
+        ("steady_pas.trace_fnv1a64", 0xe250e4ce551ed3e8),
         ("multihost.energy_j", 0x40cb580733d69ebf),
         ("smthost.energy_j", 0x40b2c342bba89023),
     ];
