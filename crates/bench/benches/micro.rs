@@ -1,13 +1,13 @@
 //! Micro-benchmarks of the hot paths: the scheduler dispatch decision,
-//! the PAS planner, and one simulated host-second.
+//! one PAS accounting tick, and one simulated host-second.
 
-use cpumodel::machines;
+use cpumodel::{machines, PStateIdx};
 use criterion::{criterion_group, criterion_main, Criterion};
 use hypervisor::sched::{CreditScheduler, Scheduler};
 use hypervisor::vm::{VmConfig, VmId};
 use hypervisor::work::ConstantDemand;
 use hypervisor::{HostConfig, SchedulerKind};
-use pas_core::{Credit, FreqPlanner};
+use pas_core::{Credit, PasDomain};
 use simkernel::{SimDuration, SimTime};
 
 fn bench_scheduler_dispatch(c: &mut Criterion) {
@@ -29,16 +29,20 @@ fn bench_scheduler_dispatch(c: &mut Criterion) {
 
 fn bench_planner(c: &mut Criterion) {
     c.bench_function("pas/plan_3_vms", |b| {
-        let planner = FreqPlanner::new(machines::optiplex_755().pstate_table());
+        let mut pas = PasDomain::new(machines::optiplex_755().pstate_table());
         let credits = [
             Credit::percent(20.0),
             Credit::percent(70.0),
             Credit::percent(10.0),
         ];
         let mut load = 0.0f64;
+        let mut pstate = PStateIdx(0);
         b.iter(|| {
+            // One accounting tick: retarget, then every VM's cap.
             load = (load + 7.3) % 110.0;
-            criterion::black_box(planner.plan(&credits, load))
+            pstate = pas.retarget(load, load.min(100.0), pstate);
+            let caps = credits.map(|c| pas.cap(c, pstate));
+            criterion::black_box(caps)
         })
     });
 }

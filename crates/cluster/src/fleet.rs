@@ -21,7 +21,7 @@ use metrics::sketch::{Sketch, DEFAULT_ALPHA};
 use metrics::TimeSeries;
 use pas_core::Credit;
 use simkernel::{SimDuration, SimTime};
-use trace::{EventKind, Record as _, Trace, Tracer};
+use trace::{EventKind, Trace, Tracer};
 
 use crate::exec;
 use crate::migration::{MigrationCostModel, MigrationRecord, MigrationTrigger};

@@ -221,48 +221,94 @@ impl PlacementPolicy {
     /// ```
     #[must_use]
     pub fn place(self, specs: &[VmSpec], capacity: HostCapacity) -> Placement {
-        let mut order: Vec<usize> = (0..specs.len()).collect();
+        let all: Vec<usize> = (0..specs.len()).collect();
+        Placement {
+            hosts: self
+                .pack(specs, &all, capacity, None)
+                .hosts
+                .into_iter()
+                .map(|(_, _, vms)| vms)
+                .collect(),
+        }
+    }
+
+    /// The one packing kernel: places `members` (indices into
+    /// `specs`) in decreasing-memory order, stable on ties, opening at
+    /// most `host_cap` hosts (`None` = no limit). What would need
+    /// another host past the cap overflows. [`PlacementPolicy::place`]
+    /// packs every spec with no cap; a shard controller packs one zone
+    /// (see [`crate::shard`]).
+    pub(crate) fn pack(
+        self,
+        specs: &[VmSpec],
+        members: &[usize],
+        capacity: HostCapacity,
+        host_cap: Option<usize>,
+    ) -> Packing {
+        let mut order = members.to_vec();
         order.sort_by(|&a, &b| f64::total_cmp(&specs[b].mem_gib, &specs[a].mem_gib));
 
-        // (mem_used, cpu_used, spec indices) per open host.
-        let mut hosts: Vec<(f64, f64, Vec<usize>)> = Vec::new();
+        let mut hosts: Vec<OpenHost> = Vec::new();
+        let mut overflow = Vec::new();
         for idx in order {
             let need_mem = specs[idx].mem_gib;
             let need_cpu = specs[idx].cpu_frac;
-            let fits = |mem: f64, cpu: f64| {
-                mem + need_mem <= capacity.mem_gib + 1e-12
-                    && cpu + need_cpu <= capacity.cpu_frac + 1e-12
-            };
-            let target = match self {
-                PlacementPolicy::FirstFit => hosts.iter_mut().find(|h| fits(h.0, h.1)),
-                PlacementPolicy::BestFit => hosts
-                    .iter_mut()
-                    .filter(|h| fits(h.0, h.1))
-                    // Least slack after placement; normalise both
-                    // dimensions so GiB and CPU fractions are
-                    // commensurable. Strict `<` keeps ties on the
-                    // earliest-opened host (deterministic).
-                    .min_by(|a, b| {
-                        let slack = |h: &(f64, f64, Vec<usize>)| {
-                            (capacity.mem_gib - h.0 - need_mem) / capacity.mem_gib
-                                + (capacity.cpu_frac - h.1 - need_cpu) / capacity.cpu_frac
-                        };
-                        f64::total_cmp(&slack(a), &slack(b))
-                    }),
-            };
-            match target {
+            let may_open = host_cap.is_none_or(|cap| hosts.len() < cap);
+            match self.find_target(&mut hosts, capacity, need_mem, need_cpu) {
                 Some(host) => {
                     host.0 += need_mem;
                     host.1 += need_cpu;
                     host.2.push(idx);
                 }
-                None => hosts.push((need_mem, need_cpu, vec![idx])),
+                None if may_open => hosts.push((need_mem, need_cpu, vec![idx])),
+                None => overflow.push(idx),
             }
         }
-        Placement {
-            hosts: hosts.into_iter().map(|(_, _, vms)| vms).collect(),
+        Packing { hosts, overflow }
+    }
+
+    /// The open host this policy places a VM needing `need_mem` GiB
+    /// and `need_cpu` of the CPU into, if any fits. Best-fit keeps
+    /// ties on the earliest-opened host (deterministic).
+    pub(crate) fn find_target(
+        self,
+        hosts: &mut [OpenHost],
+        capacity: HostCapacity,
+        need_mem: f64,
+        need_cpu: f64,
+    ) -> Option<&mut OpenHost> {
+        let fits = |mem: f64, cpu: f64| {
+            mem + need_mem <= capacity.mem_gib + 1e-12
+                && cpu + need_cpu <= capacity.cpu_frac + 1e-12
+        };
+        match self {
+            PlacementPolicy::FirstFit => hosts.iter_mut().find(|h| fits(h.0, h.1)),
+            PlacementPolicy::BestFit => hosts
+                .iter_mut()
+                .filter(|h| fits(h.0, h.1))
+                // Least slack after placement; normalise both
+                // dimensions so GiB and CPU fractions are
+                // commensurable.
+                .min_by(|a, b| {
+                    let slack = |h: &OpenHost| {
+                        (capacity.mem_gib - h.0 - need_mem) / capacity.mem_gib
+                            + (capacity.cpu_frac - h.1 - need_cpu) / capacity.cpu_frac
+                    };
+                    f64::total_cmp(&slack(a), &slack(b))
+                }),
         }
     }
+}
+
+/// An open host during packing: `(mem_used, cpu_used, spec indices)`.
+pub(crate) type OpenHost = (f64, f64, Vec<usize>);
+
+/// What [`PlacementPolicy::pack`] returns.
+pub(crate) struct Packing {
+    /// The hosts it opened.
+    pub(crate) hosts: Vec<OpenHost>,
+    /// Spec indices past the host cap, in packing order.
+    pub(crate) overflow: Vec<usize>,
 }
 
 #[cfg(test)]

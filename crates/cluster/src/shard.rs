@@ -26,7 +26,7 @@
 //! sorts more than one zone's specs at a time.
 
 use crate::exec;
-use crate::placement::{HostCapacity, Placement, PlacementPolicy, VmSpec};
+use crate::placement::{HostCapacity, OpenHost, Packing, Placement, PlacementPolicy, VmSpec};
 
 /// Default size of the fixed virtual-zone universe.
 ///
@@ -113,72 +113,6 @@ pub fn zone_of(name: &str, zones: usize) -> usize {
     (hash % zones as u64) as usize
 }
 
-/// One zone's packing: open hosts (with booked totals) plus the spec
-/// indices that did not fit under the zone's host cap.
-struct ZonePacking {
-    /// `(mem_used, cpu_used, spec indices)` per open host.
-    hosts: Vec<(f64, f64, Vec<usize>)>,
-    /// Spilled spec indices, in packing (decreasing-memory) order.
-    overflow: Vec<usize>,
-}
-
-/// Packs one zone's members — the local half of a shard controller.
-/// Identical fit/tie rules to [`PlacementPolicy::place`], restricted
-/// to the zone and bounded by the optional host cap.
-fn pack_zone(
-    policy: PlacementPolicy,
-    specs: &[VmSpec],
-    members: &[usize],
-    capacity: HostCapacity,
-    host_cap: Option<usize>,
-) -> ZonePacking {
-    let mut order: Vec<usize> = members.to_vec();
-    order.sort_by(|&a, &b| f64::total_cmp(&specs[b].mem_gib, &specs[a].mem_gib));
-
-    let mut hosts: Vec<(f64, f64, Vec<usize>)> = Vec::new();
-    let mut overflow = Vec::new();
-    for idx in order {
-        let need_mem = specs[idx].mem_gib;
-        let need_cpu = specs[idx].cpu_frac;
-        let may_open = host_cap.is_none_or(|cap| hosts.len() < cap);
-        match find_target(policy, &mut hosts, capacity, need_mem, need_cpu) {
-            Some(host) => {
-                host.0 += need_mem;
-                host.1 += need_cpu;
-                host.2.push(idx);
-            }
-            None if may_open => hosts.push((need_mem, need_cpu, vec![idx])),
-            None => overflow.push(idx),
-        }
-    }
-    ZonePacking { hosts, overflow }
-}
-
-/// The open host `(mem, cpu, vms)` the policy would place into, if
-/// any fits — the shared fit/tie kernel of zone packing and
-/// coordinator spill.
-fn find_target(
-    policy: PlacementPolicy,
-    hosts: &mut [(f64, f64, Vec<usize>)],
-    capacity: HostCapacity,
-    need_mem: f64,
-    need_cpu: f64,
-) -> Option<&mut (f64, f64, Vec<usize>)> {
-    let fits = |mem: f64, cpu: f64| {
-        mem + need_mem <= capacity.mem_gib + 1e-12 && cpu + need_cpu <= capacity.cpu_frac + 1e-12
-    };
-    match policy {
-        PlacementPolicy::FirstFit => hosts.iter_mut().find(|h| fits(h.0, h.1)),
-        PlacementPolicy::BestFit => hosts.iter_mut().filter(|h| fits(h.0, h.1)).min_by(|a, b| {
-            let slack = |h: &(f64, f64, Vec<usize>)| {
-                (capacity.mem_gib - h.0 - need_mem) / capacity.mem_gib
-                    + (capacity.cpu_frac - h.1 - need_cpu) / capacity.cpu_frac
-            };
-            f64::total_cmp(&slack(a), &slack(b))
-        }),
-    }
-}
-
 /// A finished sharded placement.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardedPlacement {
@@ -231,24 +165,16 @@ pub fn place_sharded(
         .map(|s| (s * zones / shards)..((s + 1) * zones / shards))
         .collect();
     let members_ref = &members;
-    let packed: Vec<Vec<ZonePacking>> = exec::parallel_map(shards, ranges, |_, range| {
+    let packed: Vec<Vec<Packing>> = exec::parallel_map(shards, ranges, |_, range| {
         range
-            .map(|z| {
-                pack_zone(
-                    policy,
-                    specs,
-                    &members_ref[z],
-                    capacity,
-                    cfg.max_hosts_per_zone,
-                )
-            })
+            .map(|z| policy.pack(specs, &members_ref[z], capacity, cfg.max_hosts_per_zone))
             .collect()
     });
 
     // Coordinator: concatenate zone-major, then serially re-place the
     // overflow (zone order, packing order within a zone) across every
     // open host, opening coordinator hosts when nothing fits.
-    let mut hosts: Vec<(f64, f64, Vec<usize>)> = Vec::new();
+    let mut hosts: Vec<OpenHost> = Vec::new();
     let mut zone_of_host: Vec<Option<usize>> = Vec::new();
     let mut spilled = Vec::new();
     let mut zone = 0usize;
@@ -263,7 +189,7 @@ pub fn place_sharded(
     for &idx in &spilled {
         let need_mem = specs[idx].mem_gib;
         let need_cpu = specs[idx].cpu_frac;
-        match find_target(policy, &mut hosts, capacity, need_mem, need_cpu) {
+        match policy.find_target(&mut hosts, capacity, need_mem, need_cpu) {
             Some(host) => {
                 host.0 += need_mem;
                 host.1 += need_cpu;

@@ -14,6 +14,9 @@
 //!   saturation bump PAS applies on every simulated host,
 //! * [`MovingAverage`] — the 3-sample global-load smoothing of the
 //!   paper's footnote 5,
+//! * [`PasDomain`] — one DVFS domain's per-tick PAS decision (smooth
+//!   the load, pick the P-state, compute each VM's Equation 4 cap),
+//!   the one implementation every simulated host runs,
 //! * [`CfCalibrator`] — the Section 5.2 measurement procedure that
 //!   recovers `cf_i` from observed loads and execution times,
 //! * [`controller`] — the three implementation placements of
@@ -21,27 +24,32 @@
 //!   and in-scheduler), written against a [`PasBackend`] trait so the
 //!   same logic drives the simulator and the cgroup shim.
 //!
-//! The actual Xen-like scheduler that embeds this logic lives in the
-//! `hypervisor` crate; the cgroup-v2 enforcement backend lives in
+//! The `hypervisor` crate's hosts run [`PasDomain`] next to their
+//! Credit runqueues; the cgroup-v2 enforcement backend lives in
 //! `enforcer`.
 //!
 //! # Quickstart
 //!
 //! ```
 //! use cpumodel::machines;
-//! use pas_core::{Credit, FreqPlanner};
+//! use pas_core::{Credit, PasDomain};
 //!
 //! let table = machines::optiplex_755().pstate_table();
-//! let planner = FreqPlanner::new(table.clone());
+//! let mut pas = PasDomain::new(table.clone());
 //!
 //! // Host: V20 + V70, but V70 idle, so the absolute load is ~20%.
-//! let plan = planner.plan(&[Credit::percent(20.0), Credit::percent(70.0)], 20.0);
+//! // Three accounting ticks fill the smoothing window.
+//! let mut pstate = table.max_idx();
+//! for _ in 0..3 {
+//!     pstate = pas.retarget(20.0, 20.0, pstate);
+//! }
 //!
-//! // The planner picks the lowest frequency that absorbs 20% absolute
-//! // load (1600 MHz on the Optiplex ladder) ...
-//! assert_eq!(plan.pstate, table.min_idx());
-//! // ... and compensates V20's credit to ~33% (the paper's Figure 9).
-//! assert!((plan.credits[0].as_percent() - 33.0).abs() < 1.0);
+//! // PAS picks the lowest frequency that absorbs 20% absolute load
+//! // (1600 MHz on the Optiplex ladder) ...
+//! assert_eq!(pstate, table.min_idx());
+//! // ... and compensates V20's cap to ~33% (the paper's Figure 9).
+//! let cap = pas.cap(Credit::percent(20.0), pstate).unwrap();
+//! assert!((cap * 100.0 - 33.0).abs() < 1.0);
 //! ```
 
 #![deny(missing_docs)]
@@ -57,5 +65,5 @@ pub use admission::{AdmissionError, AdmissionPolicy};
 pub use calibration::{CfCalibrator, CfEstimate};
 pub use controller::{BackendError, ControllerPlacement, PasBackend, PasController};
 pub use equations::Credit;
-pub use planner::{CreditPlan, FreqPlanner};
+pub use planner::{FreqPlanner, PasDomain};
 pub use smoothing::MovingAverage;

@@ -1,4 +1,5 @@
-//! Listings 1.1 and 1.2 of the paper, as a pure planner.
+//! Listings 1.1 and 1.2 of the paper: the planner and the controller
+//! every simulated host runs.
 //!
 //! `computeNewFreq` iterates the frequency ladder from the lowest
 //! state upward and returns the first whose capacity
@@ -6,31 +7,21 @@
 //! `updateDvfsAndCredits` then rescales every VM's credit by
 //! `1 / (ratio · cf)` (Equation 4) and applies the new frequency.
 //!
-//! The planner is deliberately side-effect free: the in-scheduler PAS
-//! implementation (`hypervisor::sched::pas`), the user-level
-//! controllers ([`crate::controller`]) and the cgroup shim all call
-//! the same two functions and differ only in how they *apply* the
-//! returned [`CreditPlan`]. PAS on the single-core, multi-core and
-//! SMT hosts of the `hypervisor` crate takes its frequency from one
-//! method, [`FreqPlanner::target_pstate`].
+//! [`FreqPlanner`] is side-effect free: the user-level controllers
+//! ([`crate::controller`]) call it directly. [`PasDomain`] adds the
+//! load smoother of one DVFS domain and is the whole per-tick PAS
+//! decision of the `hypervisor` crate's single-core, multi-core and
+//! SMT hosts: each host refills its Credit runqueues, asks its domain
+//! for a P-state and a cap per VM, and applies them itself.
 
 use cpumodel::{PStateIdx, PStateTable};
 
 use crate::equations::{capacity_percent, compensated_credit, Credit};
+use crate::smoothing::MovingAverage;
 
 /// The measured load, in percent of wall time, at which
 /// [`FreqPlanner::target_pstate`] treats the processor as saturated.
 const SATURATED_LOAD_PCT: f64 = 99.0;
-
-/// The outcome of one `updateDvfsAndCredits` pass: the frequency to
-/// apply and the per-VM compensated credits (same order as the input).
-#[derive(Debug, Clone, PartialEq)]
-pub struct CreditPlan {
-    /// P-state to switch the processor to.
-    pub pstate: PStateIdx,
-    /// Compensated credit for every VM, in input order.
-    pub credits: Vec<Credit>,
-}
 
 /// The PAS frequency/credit planner (Listings 1.1 + 1.2).
 ///
@@ -148,26 +139,80 @@ impl FreqPlanner {
     pub fn compensate(&self, c_init: Credit, pstate: PStateIdx) -> Credit {
         compensated_credit(c_init, self.table.ratio(pstate), self.table.cf(pstate))
     }
+}
 
-    /// **Listing 1.2** — picks the new frequency for `absolute_load`
-    /// and compensates every VM's *initial* credit for it.
-    ///
-    /// Note the paper's remark: at low frequency the credit sum may
-    /// exceed 100%; that is intentional (lazy VMs will not use their
-    /// raised limit, and if they do the load rises and the next tick
-    /// raises the frequency again).
+/// The PAS controller of one DVFS domain: its [`FreqPlanner`] and the
+/// [`MovingAverage`] that smooths its absolute load (footnote 5).
+///
+/// On every accounting tick a host calls [`retarget`](Self::retarget)
+/// once for the domain, then [`cap`](Self::cap) for each VM in it, and
+/// writes the caps and the P-state itself. The crate-level
+/// quickstart runs one through three ticks.
+#[derive(Debug, Clone)]
+pub struct PasDomain {
+    planner: FreqPlanner,
+    smoother: MovingAverage,
+}
+
+impl PasDomain {
+    /// The paper's controller over a DVFS ladder: 3-sample smoothing
+    /// and no headroom.
+    #[must_use]
+    pub fn new(table: PStateTable) -> Self {
+        PasDomain {
+            planner: FreqPlanner::new(table),
+            smoother: MovingAverage::paper_default(),
+        }
+    }
+
+    /// Overrides the smoothing window (ablation hook).
     ///
     /// # Panics
     ///
-    /// Panics if `absolute_load` is negative or not finite.
+    /// Panics if `window` is zero.
     #[must_use]
-    pub fn plan(&self, initial_credits: &[Credit], absolute_load: f64) -> CreditPlan {
-        let pstate = self.compute_new_freq(absolute_load);
-        let credits = initial_credits
-            .iter()
-            .map(|&c| self.compensate(c, pstate))
-            .collect();
-        CreditPlan { pstate, credits }
+    pub fn with_smoothing_window(mut self, window: usize) -> Self {
+        self.smoother = MovingAverage::new(window);
+        self
+    }
+
+    /// Overrides the planner headroom (ablation hook; see
+    /// [`FreqPlanner::with_headroom`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `headroom_pct` is negative or not finite.
+    #[must_use]
+    pub fn with_headroom(mut self, headroom_pct: f64) -> Self {
+        self.planner = self.planner.with_headroom(headroom_pct);
+        self
+    }
+
+    /// Listing 1.2's frequency half: smooths the window's absolute
+    /// load (percent of the fmax capacity) and returns
+    /// [`FreqPlanner::target_pstate`] for it, given the window's
+    /// measured load `load_pct` (percent of wall time) at P-state
+    /// `current`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the smoothed load is negative or not finite.
+    pub fn retarget(&mut self, absolute_pct: f64, load_pct: f64, current: PStateIdx) -> PStateIdx {
+        let smoothed = self.smoother.push(absolute_pct);
+        self.planner.target_pstate(smoothed, load_pct, current)
+    }
+
+    /// Listing 1.2's credit half: the Equation 4 cap, as a fraction of
+    /// wall time (`None` = uncapped), that gives a VM `booked` at
+    /// P-state `target`. Above 1 when the booking exceeds the state's
+    /// capacity; the scheduler clamps it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `target` is out of range for the ladder.
+    #[must_use]
+    pub fn cap(&self, booked: Credit, target: PStateIdx) -> Option<f64> {
+        self.planner.compensate(booked, target).as_cap()
     }
 }
 
@@ -233,35 +278,100 @@ mod tests {
         assert_eq!(careful.compute_new_freq(55.0), PStateIdx(1));
     }
 
+    /// One unsmoothed PAS decision at `load`: the P-state Listing 1.1
+    /// picks and each booking's Equation 4 cap there.
+    fn plan(bookings: &[Credit], load: f64) -> (PStateIdx, Vec<Option<f64>>) {
+        let mut pas = PasDomain::new(ladder()).with_smoothing_window(1);
+        let target = pas.retarget(load, load, ladder().max_idx());
+        (
+            target,
+            bookings.iter().map(|&c| pas.cap(c, target)).collect(),
+        )
+    }
+
     #[test]
     fn plan_compensates_all_vms() {
-        let p = FreqPlanner::new(ladder());
-        let plan = p.plan(&[Credit::percent(20.0), Credit::percent(70.0)], 20.0);
-        assert_eq!(plan.pstate, PStateIdx(0));
+        let (pstate, caps) = plan(&[Credit::percent(20.0), Credit::percent(70.0)], 20.0);
+        assert_eq!(pstate, PStateIdx(0));
         let ratio = 1600.0 / 2667.0;
         let cf = ladder().cf(PStateIdx(0));
-        assert!((plan.credits[0].as_percent() - 20.0 / (ratio * cf)).abs() < 1e-9);
-        assert!((plan.credits[1].as_percent() - 70.0 / (ratio * cf)).abs() < 1e-9);
+        assert!((caps[0].unwrap() - 0.20 / (ratio * cf)).abs() < 1e-9);
+        assert!((caps[1].unwrap() - 0.70 / (ratio * cf)).abs() < 1e-9);
         // Paper Figure 9: V20 gets ~33% at 1600 MHz.
-        assert!((plan.credits[0].as_percent() - 33.0).abs() < 1.0);
+        assert!((caps[0].unwrap() - 0.33).abs() < 0.01);
     }
 
     #[test]
     fn plan_at_fmax_is_identity() {
-        let p = FreqPlanner::new(ladder());
-        let init = [Credit::percent(20.0), Credit::percent(70.0)];
-        let plan = p.plan(&init, 95.0);
-        assert_eq!(plan.pstate, ladder().max_idx());
-        for (got, want) in plan.credits.iter().zip(init) {
-            assert!((got.as_percent() - want.as_percent()).abs() < 1e-9);
+        let (pstate, caps) = plan(&[Credit::percent(20.0), Credit::percent(70.0)], 95.0);
+        assert_eq!(pstate, ladder().max_idx());
+        for (got, want) in caps.into_iter().zip([0.20, 0.70]) {
+            assert!((got.unwrap() - want).abs() < 1e-9);
         }
     }
 
     #[test]
     fn uncapped_vm_stays_uncapped() {
-        let p = FreqPlanner::new(ladder());
-        let plan = p.plan(&[Credit::ZERO], 10.0);
-        assert!(plan.credits[0].is_uncapped());
+        assert_eq!(plan(&[Credit::ZERO], 10.0).1, [None]);
+    }
+
+    /// `retarget` at a steady absolute load, `ticks` times, threading
+    /// the P-state as a host does.
+    fn settle(
+        pas: &mut PasDomain,
+        mut pstate: PStateIdx,
+        absolute: f64,
+        ticks: usize,
+    ) -> PStateIdx {
+        for _ in 0..ticks {
+            pstate = pas.retarget(absolute, absolute, pstate);
+        }
+        pstate
+    }
+
+    #[test]
+    fn underload_lowers_freq_and_raises_caps() {
+        let mut pas = PasDomain::new(ladder());
+        // Three ticks at 20% absolute load (V20 active, V70 lazy).
+        let pstate = settle(&mut pas, ladder().max_idx(), 20.0, 3);
+        assert_eq!(pstate, ladder().min_idx(), "scaled to 1600 MHz");
+        // Paper Figure 9: V20 is granted ~33% at 1600 MHz.
+        let cap = pas.cap(Credit::percent(20.0), pstate).unwrap();
+        assert!((cap * 100.0 - 33.0).abs() < 1.5, "cap {}%", cap * 100.0);
+        let cap70 = pas.cap(Credit::percent(70.0), pstate).unwrap();
+        assert!(
+            cap70 > 0.70,
+            "V70's limit also raised (meaningless while lazy)"
+        );
+    }
+
+    #[test]
+    fn high_load_restores_initial_credits() {
+        let mut pas = PasDomain::new(ladder());
+        let low = settle(&mut pas, ladder().max_idx(), 20.0, 3);
+        // V70 wakes up: absolute load jumps to 90%.
+        let pstate = settle(&mut pas, low, 90.0, 5);
+        assert_eq!(pstate, ladder().max_idx());
+        let cap = pas.cap(Credit::percent(20.0), pstate).unwrap();
+        assert!((cap - 0.20).abs() < 1e-6, "back to the booked 20%");
+    }
+
+    #[test]
+    fn compensated_capacity_is_invariant() {
+        // The PAS invariant: cap · ratio · cf == booked credit at every
+        // stabilized operating point.
+        let table = ladder();
+        let mut pas = PasDomain::new(table.clone());
+        let mut pstate = table.max_idx();
+        for target in [10.0, 35.0, 55.0, 75.0, 95.0] {
+            pstate = settle(&mut pas, pstate, target, 5);
+            let cap = pas.cap(Credit::percent(20.0), pstate).unwrap();
+            let granted_absolute = cap * 100.0 * table.ratio(pstate) * table.cf(pstate);
+            assert!(
+                (granted_absolute - 20.0).abs() < 0.5,
+                "at absolute load {target}: granted {granted_absolute}% != 20%"
+            );
+        }
     }
 
     #[test]

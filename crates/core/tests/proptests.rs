@@ -129,9 +129,10 @@ proptest! {
     }
 }
 
-/// Listing 1.1 plus the saturation bump as `PasScheduler::on_accounting`
-/// wrote it before the rule moved into [`FreqPlanner::target_pstate`]:
-/// the reference the planner method is pinned against.
+/// Listing 1.1 plus the saturation bump as the single-core PAS
+/// scheduler wrote it before the rule moved into
+/// [`FreqPlanner::target_pstate`]: the reference the planner method is
+/// pinned against.
 fn single_core_target(
     planner: &FreqPlanner,
     absolute: f64,

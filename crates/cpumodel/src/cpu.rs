@@ -42,21 +42,19 @@ impl std::error::Error for CpuError {}
 ///
 /// Work is measured in **mega-cycles of maximum-frequency-equivalent
 /// work**: running for `Δt` at state `i` completes
-/// `F_i · cf_i · Δt` mega-cycles (Equation 1 restated as a capacity).
+/// `F_i · cf_i · Δt` mega-cycles (Equation 1 restated as a capacity):
+/// state `i`'s [`PState::effective_mcps`](crate::PState::effective_mcps)
+/// times `Δt`.
 ///
 /// # Example
 ///
 /// ```
 /// use cpumodel::machines;
-/// use simkernel::SimDuration;
 ///
 /// let mut cpu = machines::optiplex_755().build_cpu();
-/// let max = cpu.pstates().max_idx();
-/// let min = cpu.pstates().min_idx();
-/// cpu.set_pstate(max)?;
-/// let fast = cpu.work_capacity(SimDuration::from_secs(1));
-/// cpu.set_pstate(min)?;
-/// let slow = cpu.work_capacity(SimDuration::from_secs(1));
+/// let fast = cpu.pstates().state(cpu.pstate()).effective_mcps();
+/// cpu.set_pstate(cpu.pstates().min_idx())?;
+/// let slow = cpu.pstates().state(cpu.pstate()).effective_mcps();
 /// assert!(slow < fast);
 /// # Ok::<(), cpumodel::CpuError>(())
 /// ```
@@ -66,7 +64,6 @@ pub struct Cpu {
     power: PowerModel,
     current: PStateIdx,
     transitions: u64,
-    transition_latency: SimDuration,
     energy: EnergyMeter,
 }
 
@@ -81,16 +78,8 @@ impl Cpu {
             power,
             current,
             transitions: 0,
-            transition_latency: SimDuration::from_micros(100),
             energy: EnergyMeter::new(),
         }
-    }
-
-    /// Overrides the (informational) frequency-transition latency.
-    #[must_use]
-    pub fn with_transition_latency(mut self, latency: SimDuration) -> Self {
-        self.transition_latency = latency;
-        self
     }
 
     /// The DVFS ladder.
@@ -131,12 +120,6 @@ impl Cpu {
         self.transitions
     }
 
-    /// The (informational) per-transition latency.
-    #[must_use]
-    pub fn transition_latency(&self) -> SimDuration {
-        self.transition_latency
-    }
-
     /// Switches to P-state `idx`. A no-op (not counted as a transition)
     /// when `idx` is already current.
     ///
@@ -155,21 +138,6 @@ impl Cpu {
             self.transitions += 1;
         }
         Ok(())
-    }
-
-    /// Mega-cycles of fmax-equivalent work this core can complete in
-    /// `dt` at its current P-state: `F_cur · cf_cur · dt`.
-    #[inline]
-    #[must_use]
-    pub fn work_capacity(&self, dt: SimDuration) -> f64 {
-        self.pstates.state(self.current).effective_mcps() * dt.as_secs_f64()
-    }
-
-    /// Mega-cycles the core would complete in `dt` at its **maximum**
-    /// frequency — the denominator of every "absolute load" computation.
-    #[must_use]
-    pub fn work_capacity_at_max(&self, dt: SimDuration) -> f64 {
-        self.pstates.max().effective_mcps() * dt.as_secs_f64()
     }
 
     /// Accounts `dt` of wall-clock time at the current state with the
@@ -239,15 +207,19 @@ mod tests {
         assert!(!format!("{err}").is_empty());
     }
 
+    /// Mega-cycles per second at the current P-state, the rate the
+    /// hosts' slice loop runs a VM at.
+    fn rate(c: &Cpu) -> f64 {
+        c.pstates().state(c.pstate()).effective_mcps()
+    }
+
     #[test]
     fn capacity_scales_with_frequency() {
         let mut c = cpu();
-        let dt = SimDuration::from_secs(1);
-        let at_max = c.work_capacity(dt);
-        assert!((at_max - 2667.0).abs() < 1e-9);
+        assert!((rate(&c) - 2667.0).abs() < 1e-9);
         c.set_pstate(PStateIdx(0)).unwrap();
-        assert!((c.work_capacity(dt) - 1600.0).abs() < 1e-9);
-        assert!((c.work_capacity_at_max(dt) - 2667.0).abs() < 1e-9);
+        assert!((rate(&c) - 1600.0).abs() < 1e-9);
+        assert!((c.pstates().max().effective_mcps() - 2667.0).abs() < 1e-9);
     }
 
     #[test]
@@ -259,8 +231,7 @@ mod tests {
         .unwrap();
         let mut c = Cpu::new(t, PowerModel::default());
         c.set_pstate(PStateIdx(0)).unwrap();
-        let dt = SimDuration::from_secs(1);
-        assert!(c.work_capacity(dt) < 1000.0, "beta penalty bites");
+        assert!(rate(&c) < 1000.0, "beta penalty bites");
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! The host simulation loop.
 //!
 //! [`Host`] ties together one simulated processor ([`cpumodel::Cpu`]),
-//! a hypervisor [`Scheduler`] and the VMs it runs, an optional DVFS
-//! governor ([`governors::CpuFreq`]) and the statistics engine.
+//! a hypervisor [`Scheduler`] and the VMs it runs, the frequency
+//! owner (an optional DVFS governor, [`governors::CpuFreq`], or PAS's
+//! [`PasDomain`]) and the statistics engine.
 //!
 //! The loop advances in *variable-length slices*: each slice is the
 //! minimum of the scheduler quantum (Xen: 10 ms), the picked VM's cap
@@ -16,12 +17,11 @@
 
 use cpumodel::{Cpu, SmtSpec};
 use governors::{CpuFreq, Governor};
+use pas_core::PasDomain;
 use simkernel::{SimDuration, SimTime};
-use trace::{EventKind, FreqCause, Record as _, Tracer};
+use trace::{EventKind, FreqCause, Tracer};
 
-use crate::sched::{
-    Credit2Scheduler, CreditScheduler, PasScheduler, SchedCtx, Scheduler, SedfScheduler,
-};
+use crate::sched::{Credit2Scheduler, CreditScheduler, Scheduler, SedfScheduler};
 use crate::slice::{step_core, RunQueue};
 use crate::stats::HostStats;
 use crate::vm::{Vm, VmConfig, VmId};
@@ -46,8 +46,10 @@ pub enum SchedulerKind {
         /// explicit triplet.
         extra: bool,
     },
-    /// The paper's PAS scheduler (Credit + DVFS + credit
-    /// compensation). The host must not also install a governor.
+    /// The paper's PAS: Credit with caps, whose caps and processor
+    /// frequency a [`PasDomain`] rewrites on every accounting tick
+    /// (DVFS + credit compensation). The host must not also install a
+    /// governor.
     Pas,
 }
 
@@ -145,20 +147,20 @@ impl HostConfig {
     pub fn build(self) -> Host {
         let cpu = self.machine.build_cpu();
         let sched: Box<dyn Scheduler> = match self.scheduler {
-            SchedulerKind::Credit => Box::new(CreditScheduler::new()),
+            SchedulerKind::Credit | SchedulerKind::Pas => Box::new(CreditScheduler::new()),
             SchedulerKind::Credit2 => Box::new(Credit2Scheduler::new()),
             SchedulerKind::Sedf { extra } => Box::new(SedfScheduler::new(extra)),
-            SchedulerKind::Pas => {
-                let mut pas = PasScheduler::new(&cpu);
-                if let Some(w) = self.pas_smoothing_window {
-                    pas = pas.with_smoothing_window(w);
-                }
-                if let Some(h) = self.pas_headroom_pct {
-                    pas = pas.with_headroom(h);
-                }
-                Box::new(pas)
-            }
         };
+        let pas = (self.scheduler == SchedulerKind::Pas).then(|| {
+            let mut pas = PasDomain::new(cpu.pstates().clone());
+            if let Some(w) = self.pas_smoothing_window {
+                pas = pas.with_smoothing_window(w);
+            }
+            if let Some(h) = self.pas_headroom_pct {
+                pas = pas.with_headroom(h);
+            }
+            pas
+        });
         let gov_period = match &self.governor {
             Some(g) => GOVERNOR_BASE_PERIOD * u64::from(g.sampling_multiplier().max(1)),
             None => GOVERNOR_BASE_PERIOD,
@@ -168,6 +170,8 @@ impl HostConfig {
             now: SimTime::ZERO,
             cpu,
             rq: RunQueue::new(sched),
+            pas,
+            pas_caps: Vec::new(),
             cpufreq: self.governor.map(CpuFreq::new),
             stats: HostStats::new(),
             acct_period,
@@ -224,6 +228,13 @@ pub struct Host {
     cpu: Cpu,
     // The scheduler and the VMs, whose ids are the host's.
     rq: RunQueue<dyn Scheduler>,
+    // PAS's controller, on a Credit runqueue; `None` for the other
+    // schedulers.
+    pas: Option<PasDomain>,
+    // The PAS cap last recorded in the trace, by VM id, for the VMs
+    // recorded so far (a prefix, since ticks walk the ids in order).
+    // Empty while untraced.
+    pas_caps: Vec<Option<f64>>,
     cpufreq: Option<CpuFreq>,
     stats: HostStats,
     acct_period: SimDuration,
@@ -341,7 +352,11 @@ impl Host {
     /// The scheduler's name ("credit", "sedf", "pas").
     #[must_use]
     pub fn scheduler_name(&self) -> &'static str {
-        self.rq.sched.name()
+        if self.pas.is_some() {
+            "pas"
+        } else {
+            self.rq.sched.name()
+        }
     }
 
     /// The machine's capacity at maximum frequency, in mega-cycles per
@@ -376,10 +391,11 @@ impl Host {
 
     /// Externally overrides a VM's cap (fraction of wall time; `None`
     /// = uncapped). Returns `false` if the scheduler does not support
-    /// external cap changes. This is the control surface the
-    /// user-level PAS controllers of Section 4.1 use.
+    /// external cap changes, or PAS manages the caps. This is the
+    /// control surface the user-level PAS controllers of Section 4.1
+    /// use.
     pub fn set_vm_cap(&mut self, id: VmId, cap: Option<f64>) -> bool {
-        self.rq.sched.set_cap_external(id, cap)
+        self.pas.is_none() && self.rq.sched.set_cap_external(id, cap)
     }
 
     /// Directly sets the processor P-state (the `userspace` governor
@@ -461,10 +477,10 @@ impl Host {
     }
 
     /// Installs a simulation-event tracer: from here on, scheduler
-    /// pick changes, frequency transitions, cap rewrites and VM
-    /// completions are recorded into its bounded ring. Also switches
-    /// the scheduler's own event recording on. Replaces any previous
-    /// tracer.
+    /// pick changes, frequency transitions, PAS cap rewrites and VM
+    /// completions are recorded into its bounded ring. The first
+    /// accounting tick it sees records every VM's PAS cap. Replaces
+    /// any previous tracer.
     ///
     /// Events are a pure function of simulation state, so a traced
     /// run records the identical stream regardless of worker threads
@@ -478,15 +494,15 @@ impl Host {
             .iter()
             .map(|vm| tracer.intern(&vm.name_tag))
             .collect();
-        self.rq.sched.set_event_recording(true);
+        self.pas_caps.clear();
         self.last_pick = None;
         self.tracer = Some(Box::new(tracer));
     }
 
-    /// Removes the tracer (switching scheduler event recording back
-    /// off) and returns it with everything recorded so far.
+    /// Removes the tracer and returns it with everything recorded so
+    /// far.
     pub fn take_tracer(&mut self) -> Option<Tracer> {
-        self.rq.sched.set_event_recording(false);
+        self.pas_caps.clear();
         self.trace_ids.clear();
         self.tracer.take().map(|t| *t)
     }
@@ -517,7 +533,29 @@ impl Host {
 
     /// Runs the simulation until the absolute instant `t_end`.
     pub fn run_until(&mut self, t_end: SimTime) {
-        while self.now < t_end {
+        self.run_slices(t_end, None);
+    }
+
+    /// Runs until the given VM's workload reports completion, up to
+    /// `limit`. Returns the completion instant if reached.
+    ///
+    /// Completion is detected at *slice* granularity: a slice ends
+    /// exactly when the backlog drains, so the returned instant is the
+    /// true completion time, not rounded up to the next accounting
+    /// boundary. The host stops at that instant.
+    pub fn run_until_vm_finished(&mut self, id: VmId, limit: SimTime) -> Option<SimTime> {
+        self.run_slices(limit, Some(id)).then_some(self.now)
+    }
+
+    /// The one run loop: boundary windows up to `t_end`, each run
+    /// slice by slice, stopping early, at the end of a slice, once the
+    /// VM `until_complete` names has completed. Returns whether it
+    /// stopped for that.
+    fn run_slices(&mut self, t_end: SimTime, until_complete: Option<VmId>) -> bool {
+        let complete =
+            |host: &Host| until_complete.is_some_and(|id| host.rq.vms[id.0].is_complete());
+        let mut stopped = complete(self);
+        while !stopped && self.now < t_end {
             self.handle_boundaries();
             let boundary = self.next_boundary(t_end);
             // A real assert, not a debug_assert: a non-advancing
@@ -543,6 +581,10 @@ impl Host {
                     break;
                 }
                 self.advance_one_slice(boundary);
+                if complete(self) {
+                    stopped = true;
+                    break;
+                }
             }
             if let Some(t0) = t0 {
                 self.perf.host_slice_ns += t0.elapsed().as_nanos() as u64;
@@ -550,32 +592,7 @@ impl Host {
         }
         self.handle_boundaries();
         self.stats.set_elapsed(self.now);
-    }
-
-    /// Runs until the given VM's workload reports completion, up to
-    /// `limit`. Returns the completion instant if reached.
-    ///
-    /// Completion is detected at *slice* granularity: a slice ends
-    /// exactly when the backlog drains, so the returned instant is the
-    /// true completion time, not rounded up to the next accounting
-    /// boundary. The host stops at that instant.
-    pub fn run_until_vm_finished(&mut self, id: VmId, limit: SimTime) -> Option<SimTime> {
-        loop {
-            if self.rq.vms[id.0].is_complete() {
-                self.handle_boundaries();
-                self.stats.set_elapsed(self.now);
-                return Some(self.now);
-            }
-            if self.now >= limit {
-                self.handle_boundaries();
-                self.stats.set_elapsed(self.now);
-                return None;
-            }
-            self.handle_boundaries();
-            let boundary = self.next_boundary(limit);
-            assert!(boundary > self.now, "boundary must advance");
-            self.advance_one_slice(boundary);
-        }
+        stopped
     }
 
     fn next_boundary(&self, t_end: SimTime) -> SimTime {
@@ -591,16 +608,22 @@ impl Host {
             let t0 = self.profiling.then(std::time::Instant::now);
             let prev_pstate = self.tracer.as_ref().map(|_| self.cpu.pstate());
             let (load, abs) = self.stats.take_acct_window(self.now);
-            let mut ctx = SchedCtx {
-                now: self.now,
-                cpu: &mut self.cpu,
-                measured_load_pct: load,
-                measured_absolute_pct: abs,
-            };
-            self.rq.sched.on_accounting(&mut ctx);
+            self.rq.sched.on_accounting(self.now);
+            if let Some(pas) = self.pas.as_mut() {
+                // Listing 1.2, with the absolute load measured exactly
+                // by the host (integrated per slice).
+                let target = pas.retarget(abs, load, self.cpu.pstate());
+                for vm in &self.rq.vms {
+                    let cap = pas.cap(vm.config.credit, target);
+                    self.rq.sched.set_cap_external(vm.id, cap);
+                }
+                self.cpu
+                    .set_pstate(target)
+                    .expect("PAS plans on the cpu's own ladder");
+            }
             if let Some(prev) = prev_pstate {
                 self.note_freq_change(prev, FreqCause::Scheduler);
-                self.drain_sched_events();
+                self.note_cap_changes();
             }
             self.next_acct += self.acct_period;
             if let Some(t0) = t0 {
@@ -661,17 +684,26 @@ impl Host {
         }
     }
 
-    /// Drains the scheduler's recorded cap rewrites into the tracer.
-    /// Only called on the traced path.
-    fn drain_sched_events(&mut self) {
-        let events = self.rq.sched.take_sched_events();
-        if events.is_empty() {
+    /// Records a `cap_change` for each VM whose PAS cap differs from
+    /// the one last recorded (for every VM on the first traced tick).
+    /// Only called on the traced path, after the P-state is written.
+    fn note_cap_changes(&mut self) {
+        let (Some(pas), Some(t)) = (self.pas.as_ref(), self.tracer.as_mut()) else {
             return;
-        }
+        };
+        let target = self.cpu.pstate();
         let at_s = self.now.as_secs_f64();
-        if let Some(t) = self.tracer.as_mut() {
-            for e in events {
-                t.record_cap(at_s, self.trace_ids[e.vm.0], e.cap_pct);
+        for (vm, &name) in self.rq.vms.iter().zip(&self.trace_ids) {
+            let cap = pas.cap(vm.config.credit, target);
+            let changed = match self.pas_caps.get_mut(vm.id.0) {
+                Some(last) => std::mem::replace(last, cap) != cap,
+                None => {
+                    self.pas_caps.push(cap);
+                    true
+                }
+            };
+            if changed {
+                t.record_cap(at_s, name, cap.map(|c| c * 100.0));
             }
         }
     }
@@ -736,7 +768,7 @@ impl std::fmt::Debug for Host {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Host")
             .field("now", &self.now)
-            .field("scheduler", &self.rq.sched.name())
+            .field("scheduler", &self.scheduler_name())
             .field("vms", &self.rq.vms.len())
             .field("pstate", &self.cpu.pstate())
             .finish()
@@ -752,6 +784,19 @@ mod tests {
 
     fn demand(host: &Host, frac: f64) -> Box<ConstantDemand> {
         Box::new(ConstantDemand::new(frac * host.fmax_mcps()))
+    }
+
+    /// The paper's Figure 9 host under PAS: V20 running a constant
+    /// `v20_demand` (a fraction of the fmax capacity), V70 idle.
+    fn fig9_host(v20_demand: f64) -> Host {
+        let mut host = HostConfig::optiplex_defaults(SchedulerKind::Pas).build();
+        let d = demand(&host, v20_demand);
+        host.add_vm(VmConfig::new("v20", Credit::percent(20.0)), d);
+        host.add_vm(
+            VmConfig::new("v70", Credit::percent(70.0)),
+            Box::new(crate::work::Idle),
+        );
+        host
     }
 
     #[test]
@@ -828,13 +873,7 @@ mod tests {
 
     #[test]
     fn pas_self_manages_dvfs() {
-        let mut host = HostConfig::optiplex_defaults(SchedulerKind::Pas).build();
-        let d = demand(&host, 1.0); // thrashing V20
-        host.add_vm(VmConfig::new("v20", Credit::percent(20.0)), d);
-        host.add_vm(
-            VmConfig::new("v70", Credit::percent(70.0)),
-            Box::new(crate::work::Idle),
-        );
+        let mut host = fig9_host(1.0); // thrashing V20
         host.run_for(SimDuration::from_secs(60));
         // Host underloaded → PAS parks the frequency at the bottom...
         assert_eq!(host.cpu().pstate(), host.cpu().pstates().min_idx());
@@ -844,6 +883,68 @@ mod tests {
         // And its cap was raised to ~33% (Figure 9).
         let cap = host.effective_cap_pct(VmId(0)).unwrap();
         assert!((cap - 33.0).abs() < 2.0, "cap {cap}");
+    }
+
+    #[test]
+    fn cap_never_exceeds_wall_clock() {
+        let mut host = fig9_host(0.05);
+        host.run_for(SimDuration::from_secs(5));
+        assert_eq!(host.cpu().pstate(), host.cpu().pstates().min_idx());
+        // V70's compensated credit is 70/0.6 ≈ 117% → clamped to 100%.
+        assert_eq!(host.effective_cap_pct(VmId(1)), Some(100.0));
+        assert!(!host.set_vm_cap(VmId(1), Some(0.5)), "PAS owns the caps");
+    }
+
+    /// The `cap_change` events of a traced PAS host: every VM's cap at
+    /// the first traced tick, nothing while the operating point holds,
+    /// and again once a new VM moves the frequency.
+    #[test]
+    fn event_recording_emits_only_cap_changes() {
+        let mut host = fig9_host(1.0);
+        host.run_for(SimDuration::from_secs(1));
+        host.set_tracer(trace::Tracer::new(1, 1 << 12));
+        host.run_for(SimDuration::from_secs(3));
+        let d = demand(&host, 1.0);
+        host.add_vm(VmConfig::new("v50", Credit::percent(50.0)), d);
+        host.run_for(SimDuration::from_secs(4));
+        let tracer = host.take_tracer().expect("tracer installed");
+        assert_eq!(tracer.dropped(), 0);
+        let caps: Vec<f64> = trace::Trace::merge(vec![tracer])
+            .events()
+            .iter()
+            .filter(|e| e.kind.name() == "cap_change")
+            .map(|e| e.at_s)
+            .collect();
+        let (steady, loaded): (Vec<f64>, Vec<f64>) = caps.iter().partition(|&&t| t < 4.0);
+        assert_eq!(steady, [1.02, 1.02], "one cap per VM, then none");
+        assert!(loaded.len() > 3, "re-emitted after the frequency moved");
+    }
+
+    /// Recording cap changes is observation only: the P-state and
+    /// every cap agree, every 200 ms, with an untraced twin across a
+    /// load change.
+    #[test]
+    fn event_recording_never_changes_decisions() {
+        let run = |traced: bool| {
+            let mut host = fig9_host(1.0);
+            if traced {
+                host.set_tracer(trace::Tracer::new(1, 64));
+            }
+            let mut decisions = Vec::new();
+            for step in 0..40 {
+                if step == 20 {
+                    let d = demand(&host, 1.0);
+                    host.add_vm(VmConfig::new("v50", Credit::percent(50.0)), d);
+                }
+                host.run_for(SimDuration::from_millis(200));
+                let caps: Vec<Option<u64>> = (0..host.vm_count())
+                    .map(|i| host.effective_cap_pct(VmId(i)).map(f64::to_bits))
+                    .collect();
+                decisions.push((host.cpu().pstate(), caps));
+            }
+            decisions
+        };
+        assert_eq!(run(true), run(false));
     }
 
     #[test]
@@ -976,13 +1077,7 @@ mod tests {
     #[test]
     fn tracing_never_changes_the_simulation() {
         let run = |traced: bool| {
-            let mut host = HostConfig::optiplex_defaults(SchedulerKind::Pas).build();
-            let d = demand(&host, 1.0);
-            host.add_vm(VmConfig::new("v20", Credit::percent(20.0)), d);
-            host.add_vm(
-                VmConfig::new("v70", Credit::percent(70.0)),
-                Box::new(crate::work::Idle),
-            );
+            let mut host = fig9_host(1.0);
             if traced {
                 host.set_tracer(trace::Tracer::new(1, 64));
             }
@@ -996,12 +1091,12 @@ mod tests {
         assert_eq!(run(true), run(false), "tracing must be observation-only");
     }
 
-    /// The idle skip in [`Host::run_until`] must be *bit-identical*
+    /// The idle skip in the host's run loop must be *bit-identical*
     /// to the exact slice loop, not merely close: energy accounting,
     /// loads and snapshots all agree to the last bit on a host that
     /// turns quiescent mid-run. The reference drives the slice loop
-    /// with no skip, as [`Host::run_until_vm_finished`] does. Traces
-    /// are not compared: the skip deliberately records no `None` pick.
+    /// with no skip. Traces are not compared: the skip deliberately
+    /// records no `None` pick.
     #[test]
     fn idle_fast_path_is_bit_exact() {
         let build = || {

@@ -3,8 +3,8 @@
 //! This crate is the substrate substitution for the paper's testbed
 //! (Xen 4.1.2 on a DELL Optiplex 755): a deterministic simulation of
 //! one physical host running several VMs under a hypervisor scheduler,
-//! with DVFS driven either by a governor (`governors` crate) or by the
-//! PAS scheduler itself.
+//! with DVFS driven either by a governor (`governors` crate) or by PAS
+//! ([`pas_core::PasDomain`]).
 //!
 //! * [`vm`] — VM identity, configuration (credit, weight, priority,
 //!   SEDF triplet) and runtime state,
@@ -13,11 +13,13 @@
 //! * [`guest`] — a guest-level round-robin process scheduler, so that
 //!   the two-level scheduling structure the paper describes (hypervisor
 //!   schedules VMs, the guest OS schedules processes) actually exists,
-//! * [`sched`] — the three hypervisor schedulers the paper evaluates:
-//!   Xen **Credit** (fix credit via caps), **SEDF** (variable credit
-//!   via extra-time) and **PAS** (the contribution),
+//! * [`sched`] — the Xen schedulers the paper evaluates: **Credit**
+//!   (fix credit via caps), **Credit2** and **SEDF** (variable credit
+//!   via extra-time),
 //! * [`host`] — the host simulation loop tying CPU, scheduler,
-//!   governor, VMs and telemetry together,
+//!   governor, VMs and telemetry together; its **PAS** (the
+//!   contribution) is Credit whose caps and frequency a
+//!   [`pas_core::PasDomain`] rewrites on every accounting tick,
 //! * [`platforms`] — the Table 2 platform archetypes (Hyper-V, VMware
 //!   ESXi, Xen, KVM, VirtualBox),
 //! * [`multicore`] — the paper's closing perspective as a running
@@ -30,7 +32,9 @@
 //! All three host models run one slice loop, kept in the private
 //! `slice` module: a host is one runqueue (a scheduler and the VMs it
 //! owns), a multi-core host one per core and an SMT host one per
-//! hardware thread.
+//! hardware thread. They run one PAS decision too: a
+//! [`pas_core::PasDomain`] per DVFS domain, whose caps they write into
+//! their Credit runqueues.
 //!
 //! # Example: the paper's host in a few lines
 //!

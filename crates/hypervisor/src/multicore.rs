@@ -7,11 +7,11 @@
 //! * every core runs its own Credit scheduler (caps are per-core, as
 //!   in Xen with pinned vCPUs);
 //! * VMs are single-vCPU and pinned to a core at creation;
-//! * frequency is set per [DVFS domain](cpumodel::topology): PAS plans
-//!   each domain independently, using the *busiest core* in the domain
-//!   as its absolute load (a domain must satisfy its most loaded
-//!   core), and compensates the credits of every VM in that domain for
-//!   the domain's frequency.
+//! * frequency is set per [DVFS domain](cpumodel::topology): each
+//!   domain has its own PAS controller ([`PasDomain`]), fed the
+//!   *busiest core* in the domain as its absolute load (a domain must
+//!   satisfy its most loaded core), which picks the domain's frequency
+//!   and compensates the credits of every VM in that domain for it.
 //!
 //! Each core is one runqueue (a Credit scheduler and the VMs pinned
 //! to it, which it owns) advanced by the slice loop the single-core
@@ -24,10 +24,10 @@
 
 use cpumodel::topology::{CoreId, CpuPackage, DomainId, Topology};
 use cpumodel::{MachineSpec, SmtSpec};
-use pas_core::{FreqPlanner, MovingAverage};
+use pas_core::PasDomain;
 use simkernel::{SimDuration, SimTime};
 
-use crate::sched::{CreditScheduler, SchedCtx, Scheduler};
+use crate::sched::{CreditScheduler, Scheduler};
 use crate::slice::{step_core, RunQueue};
 use crate::vm::{VmConfig, VmId};
 use crate::work::WorkSource;
@@ -65,9 +65,9 @@ pub struct MultiHost {
     cores: Vec<CoreState>,
     /// Each VM's core and its id on that core's runqueue, by public id.
     placement: Vec<(CoreId, VmId)>,
-    dvfs: MultiDvfs,
-    planner: FreqPlanner,
-    domain_smooth: Vec<MovingAverage>,
+    /// One PAS controller per DVFS domain, indexed by [`DomainId`];
+    /// none under [`MultiDvfs::MaxFrequency`].
+    pas: Vec<PasDomain>,
     now: SimTime,
     acct_period: SimDuration,
     next_acct: SimTime,
@@ -84,7 +84,10 @@ impl MultiHost {
     #[must_use]
     pub fn new(machine: &MachineSpec, topo: Topology, dvfs: MultiDvfs) -> Self {
         let pkg = CpuPackage::new(machine, topo);
-        let planner = FreqPlanner::new(machine.pstate_table());
+        let n_pas = match dvfs {
+            MultiDvfs::MaxFrequency => 0,
+            MultiDvfs::Pas => topo.n_domains(),
+        };
         let acct_period = SimDuration::from_millis(100);
         let sample_period = SimDuration::from_secs(10);
         MultiHost {
@@ -99,11 +102,7 @@ impl MultiHost {
                 })
                 .collect(),
             placement: Vec::new(),
-            dvfs,
-            planner,
-            domain_smooth: (0..topo.n_domains())
-                .map(|_| MovingAverage::paper_default())
-                .collect(),
+            pas: vec![PasDomain::new(machine.pstate_table()); n_pas],
             now: SimTime::ZERO,
             acct_period,
             next_acct: SimTime::ZERO + acct_period,
@@ -228,8 +227,8 @@ impl MultiHost {
     fn accounting_tick(&mut self) {
         let window = self.now.duration_since(self.window_start).as_secs_f64();
         // Per-domain DVFS + credit compensation.
-        if self.dvfs == MultiDvfs::Pas && window > 0.0 {
-            for d in 0..self.topo.n_domains() {
+        if window > 0.0 {
+            for (d, pas) in self.pas.iter_mut().enumerate() {
                 let domain = DomainId(d);
                 let cores = self.topo.cores_in(domain);
                 let mut busiest_abs: f64 = 0.0;
@@ -239,34 +238,22 @@ impl MultiHost {
                     busiest_abs = busiest_abs.max(100.0 * st.window_abs / window);
                     busiest_load = busiest_load.max(100.0 * st.window_busy / window);
                 }
-                let smoothed = self.domain_smooth[d].push(busiest_abs);
-                let target = self.planner.target_pstate(
-                    smoothed,
-                    busiest_load,
-                    self.pkg.core(cores[0]).pstate(),
-                );
+                let target =
+                    pas.retarget(busiest_abs, busiest_load, self.pkg.core(cores[0]).pstate());
                 self.pkg
                     .set_domain_pstate(domain, target)
                     .expect("valid p-state");
                 for c in &cores {
                     let rq = &mut self.cores[c.0].rq;
                     for vm in &rq.vms {
-                        let cap = self.planner.compensate(vm.config.credit, target).as_cap();
-                        rq.sched.set_cap(vm.id, cap);
+                        rq.sched.set_cap(vm.id, pas.cap(vm.config.credit, target));
                     }
                 }
             }
         }
         // Credit refill on every core scheduler.
-        for (idx, st) in self.cores.iter_mut().enumerate() {
-            let cpu = self.pkg.core_mut(CoreId(idx));
-            let mut ctx = SchedCtx {
-                now: self.now,
-                cpu,
-                measured_load_pct: 0.0,
-                measured_absolute_pct: 0.0,
-            };
-            st.rq.sched.on_accounting(&mut ctx);
+        for st in &mut self.cores {
+            st.rq.sched.on_accounting(self.now);
             st.window_busy = 0.0;
             st.window_abs = 0.0;
         }

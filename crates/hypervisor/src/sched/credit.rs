@@ -16,7 +16,7 @@
 
 use simkernel::{SimDuration, SimTime};
 
-use crate::sched::{SchedCtx, Scheduler};
+use crate::sched::Scheduler;
 use crate::vm::{Priority, VmConfig, VmId};
 
 #[derive(Debug, Clone)]
@@ -167,7 +167,7 @@ impl Scheduler for CreditScheduler {
         });
     }
 
-    fn on_accounting(&mut self, _ctx: &mut SchedCtx<'_>) {
+    fn on_accounting(&mut self, _now: SimTime) {
         let total_weight = self.total_weight().max(1);
         let period_us = self.period.as_micros() as i64;
         for vm in &mut self.vms {
@@ -256,12 +256,7 @@ impl Scheduler for CreditScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cpumodel::machines;
     use pas_core::Credit;
-
-    fn ctx_cpu() -> cpumodel::Cpu {
-        machines::optiplex_755().build_cpu()
-    }
 
     fn setup() -> CreditScheduler {
         let mut s = CreditScheduler::new();
@@ -300,14 +295,7 @@ mod tests {
     fn accounting_resets_usage() {
         let mut s = setup();
         s.charge(VmId(0), SimDuration::from_millis(6));
-        let mut cpu = ctx_cpu();
-        let mut ctx = SchedCtx {
-            now: SimTime::from_millis(30),
-            cpu: &mut cpu,
-            measured_load_pct: 20.0,
-            measured_absolute_pct: 20.0,
-        };
-        s.on_accounting(&mut ctx);
+        s.on_accounting(SimTime::from_millis(30));
         assert_eq!(
             s.max_slice(VmId(0), SimTime::ZERO),
             SimDuration::from_millis(6)
@@ -336,15 +324,8 @@ mod tests {
     #[test]
     fn under_beats_over() {
         let mut s = setup();
-        let mut cpu = ctx_cpu();
-        let mut ctx = SchedCtx {
-            now: SimTime::ZERO,
-            cpu: &mut cpu,
-            measured_load_pct: 0.0,
-            measured_absolute_pct: 0.0,
-        };
-        s.on_accounting(&mut ctx); // gives both positive credit
-                                   // Burn v70 into OVER.
+        // The refill gives both positive credit; burn v70 into OVER.
+        s.on_accounting(SimTime::ZERO);
         s.charge(VmId(1), SimDuration::from_millis(25));
         // Reset usage so caps don't interfere, keep credit burned.
         for vm in &mut s.vms {
@@ -425,15 +406,8 @@ mod tests {
     #[test]
     fn credit_clamped_at_period() {
         let mut s = setup();
-        let mut cpu = ctx_cpu();
         for i in 0..100 {
-            let mut ctx = SchedCtx {
-                now: SimTime::from_millis(30 * (i + 1)),
-                cpu: &mut cpu,
-                measured_load_pct: 0.0,
-                measured_absolute_pct: 0.0,
-            };
-            s.on_accounting(&mut ctx);
+            s.on_accounting(SimTime::from_millis(30 * (i + 1)));
         }
         let period_us = s.period().as_micros() as i64;
         for vm in &s.vms {

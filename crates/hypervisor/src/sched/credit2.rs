@@ -16,7 +16,7 @@
 
 use simkernel::{SimDuration, SimTime};
 
-use crate::sched::{SchedCtx, Scheduler};
+use crate::sched::Scheduler;
 use crate::vm::{Priority, VmConfig, VmId};
 
 const CREDIT_INIT_US: i64 = 10_000; // Xen's CSCHED2_CREDIT_INIT scale
@@ -88,7 +88,7 @@ impl Scheduler for Credit2Scheduler {
         });
     }
 
-    fn on_accounting(&mut self, _ctx: &mut SchedCtx<'_>) {
+    fn on_accounting(&mut self, _now: SimTime) {
         // Credit2 resets on exhaustion (in pick_next), not on a period;
         // nothing to do here.
     }

@@ -10,7 +10,7 @@
 
 use simkernel::{SimDuration, SimTime};
 
-use crate::sched::{SchedCtx, Scheduler};
+use crate::sched::Scheduler;
 use crate::vm::{Priority, SedfParams, VmConfig, VmId};
 
 #[derive(Debug, Clone)]
@@ -123,11 +123,11 @@ impl Scheduler for SedfScheduler {
         });
     }
 
-    fn on_accounting(&mut self, ctx: &mut SchedCtx<'_>) {
+    fn on_accounting(&mut self, now: SimTime) {
         // SEDF needs no periodic bookkeeping beyond deadline refresh,
         // which happens lazily in pick_next; refresh here too so that
         // long idle gaps cannot leave deadlines stale.
-        self.refresh(ctx.now);
+        self.refresh(now);
     }
 
     fn pick_next(&mut self, now: SimTime, runnable: &[VmId]) -> Option<VmId> {

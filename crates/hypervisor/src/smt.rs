@@ -11,11 +11,12 @@
 //! * a busy logical CPU delivers
 //!   `f · cf · per_thread_factor(busy threads)` mega-cycles/sec — the
 //!   SMT contention penalty of [`cpumodel::smt`];
-//! * PAS plans the shared frequency from the core's *aggregate*
-//!   delivered absolute load and compensates credits per Equation 4 —
-//!   either **naively** (frequency only, the paper's Listing 1.2
-//!   verbatim) or **SMT-aware** (additionally dividing by the observed
-//!   per-thread [contention factor](SmtSpec::contention_factor)).
+//! * PAS (one [`PasDomain`] for the core) plans the shared frequency
+//!   from the core's *aggregate* delivered absolute load and
+//!   compensates credits per Equation 4 — either **naively**
+//!   (frequency only, the paper's Listing 1.2 verbatim) or
+//!   **SMT-aware** (additionally dividing by the observed per-thread
+//!   [contention factor](SmtSpec::contention_factor)).
 //!
 //! Each logical CPU is one runqueue (a Credit scheduler and the VMs
 //! pinned to it, which it owns), and the core advances all of them by
@@ -35,10 +36,10 @@
 
 use cpumodel::smt::SmtSpec;
 use cpumodel::{Cpu, MachineSpec};
-use pas_core::{FreqPlanner, MovingAverage};
+use pas_core::{MovingAverage, PasDomain};
 use simkernel::{SimDuration, SimTime};
 
-use crate::sched::{CreditScheduler, SchedCtx, Scheduler};
+use crate::sched::{CreditScheduler, Scheduler};
 use crate::slice::{step_core, RunQueue};
 use crate::vm::{VmConfig, VmId};
 use crate::work::WorkSource;
@@ -90,8 +91,7 @@ pub struct SmtHost {
     /// public id.
     placement: Vec<(ThreadId, VmId)>,
     awareness: SmtAwareness,
-    planner: FreqPlanner,
-    smoother: MovingAverage,
+    pas: PasDomain,
     now: SimTime,
     acct_period: SimDuration,
     next_acct: SimTime,
@@ -123,8 +123,7 @@ impl SmtHost {
                 .collect(),
             placement: Vec::new(),
             awareness,
-            planner: FreqPlanner::new(machine.pstate_table()),
-            smoother: MovingAverage::paper_default(),
+            pas: PasDomain::new(machine.pstate_table()),
             now: SimTime::ZERO,
             acct_period,
             next_acct: SimTime::ZERO + acct_period,
@@ -261,7 +260,6 @@ impl SmtHost {
             // factor is already inside the delivered mega-cycles.
             let total_mcycles: f64 = self.threads.iter().map(|t| t.window_mcycles).sum();
             let absolute_pct = 100.0 * total_mcycles / (self.fmax_mcps() * window);
-            let smoothed = self.smoother.push(absolute_pct);
             // A pegged thread measures a load bounded by the current
             // capacity, so the busiest thread's load drives the
             // saturation bump.
@@ -271,8 +269,8 @@ impl SmtHost {
                 .map(|t| 100.0 * t.window_busy / window)
                 .fold(0.0_f64, f64::max);
             let target = self
-                .planner
-                .target_pstate(smoothed, busiest_pct, self.cpu.pstate());
+                .pas
+                .retarget(absolute_pct, busiest_pct, self.cpu.pstate());
 
             // Per-thread smoothed contention, then credit rewrite.
             for t_idx in 0..self.threads.len() {
@@ -291,10 +289,9 @@ impl SmtHost {
                 };
                 let rq = &mut self.rqs[t_idx];
                 for vm in &rq.vms {
-                    let freq_comp = self.planner.compensate(vm.config.credit, target);
                     // `set_cap` clamps the quotient at the wall clock.
-                    let cap = freq_comp.as_cap().map(|c| c / contention);
-                    rq.sched.set_cap(vm.id, cap);
+                    let cap = self.pas.cap(vm.config.credit, target);
+                    rq.sched.set_cap(vm.id, cap.map(|c| c / contention));
                 }
             }
             self.cpu
@@ -302,13 +299,7 @@ impl SmtHost {
                 .expect("planner uses the cpu's own ladder");
         }
         for (t, rq) in self.threads.iter_mut().zip(&mut self.rqs) {
-            let mut ctx = SchedCtx {
-                now: self.now,
-                cpu: &mut self.cpu,
-                measured_load_pct: 0.0,
-                measured_absolute_pct: 0.0,
-            };
-            rq.sched.on_accounting(&mut ctx);
+            rq.sched.on_accounting(self.now);
             t.window_busy = 0.0;
             t.window_contended = 0.0;
             t.window_mcycles = 0.0;

@@ -16,11 +16,10 @@
 //!   stream per host plus one fleet-level stream). When the ring is
 //!   full the oldest event is evicted and counted in
 //!   [`Tracer::dropped`]; memory stays bounded no matter how long the
-//!   run is.
-//! * [`NullTracer`] — the disabled path: a no-op [`Record`] sink. The
-//!   host keeps its tracer in an `Option` so the tracer-off hot path
-//!   is a single branch. perfbench's `trace.overhead_pct` measures
-//!   what tracing and profiling cost when switched on together.
+//!   run is. Hosts and fleets keep their tracer in an `Option`, so
+//!   the untraced hot path is a single branch. perfbench's
+//!   `trace.overhead_pct` measures what tracing and profiling cost
+//!   when switched on together.
 //! * [`Trace`] — the deterministic merge of many tracers, ordered by
 //!   `(sim_time, stream, seq)`.
 //! * [`render_jsonl`] — the JSONL artefact (schema
@@ -55,7 +54,8 @@ pub const DEFAULT_CAPACITY: usize = 2048;
 /// What caused a frequency transition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FreqCause {
-    /// The scheduler's accounting tick (PAS planning a new P-state).
+    /// The accounting tick of a PAS host (its `PasDomain` planning a
+    /// new P-state); rendered `sched`.
     Scheduler,
     /// The cpufreq governor's sampling tick.
     Governor,
@@ -306,39 +306,6 @@ const TAG_SIDE: u64 = 2;
 /// Pick events: the displaced VM was still runnable.
 const PREEMPT_BIT: u64 = 1 << 2;
 
-/// A sink for trace events. Implemented by [`Tracer`] (bounded ring)
-/// and [`NullTracer`] (discard); instrumentation that does not want
-/// an `Option` branch can take `&mut dyn Record` instead.
-pub trait Record {
-    /// Records one event at simulation time `at_s`.
-    fn record(&mut self, at_s: f64, kind: EventKind);
-
-    /// Whether events are kept at all. Instrumentation may skip
-    /// building expensive payloads (name clones) when this is false.
-    fn enabled(&self) -> bool {
-        true
-    }
-}
-
-/// The disabled tracing path: discards every event.
-///
-/// ```
-/// use trace::{EventKind, NullTracer, Record};
-/// let mut t = NullTracer;
-/// assert!(!t.enabled());
-/// t.record(1.0, EventKind::SlaViolation { sla_ratio: 0.9 }); // no-op
-/// ```
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullTracer;
-
-impl Record for NullTracer {
-    fn record(&mut self, _at_s: f64, _kind: EventKind) {}
-
-    fn enabled(&self) -> bool {
-        false
-    }
-}
-
 /// A bounded per-stream event ring.
 ///
 /// Each simulation component that emits events owns one tracer with a
@@ -402,6 +369,12 @@ impl Tracer {
         }
     }
 
+    /// Records one event at simulation time `at_s`.
+    pub fn record(&mut self, at_s: f64, kind: EventKind) {
+        self.side.push_back(kind);
+        self.push(at_s, TAG_SIDE);
+    }
+
     #[inline]
     fn push(&mut self, at_s: f64, packed: u64) {
         if self.events.len() < self.capacity {
@@ -425,7 +398,7 @@ impl Tracer {
     /// reference count — the allocation-free fast path for the
     /// highest-volume event kind. `vm` is `None` when the CPU went
     /// idle. Merges identically to recording
-    /// [`EventKind::SchedPick`] through [`Record::record`].
+    /// [`EventKind::SchedPick`] through [`Tracer::record`].
     #[inline]
     pub fn record_pick(&mut self, at_s: f64, vm: Option<NameId>, preempt: bool) {
         let packed = match vm {
@@ -487,13 +460,6 @@ impl Tracer {
     #[must_use]
     pub fn dropped(&self) -> u64 {
         self.dropped
-    }
-}
-
-impl Record for Tracer {
-    fn record(&mut self, at_s: f64, kind: EventKind) {
-        self.side.push_back(kind);
-        self.push(at_s, TAG_SIDE);
     }
 }
 
@@ -612,7 +578,7 @@ impl Trace {
 /// `run` label so the concatenation stays unambiguous.
 ///
 /// ```
-/// use trace::{EventKind, Record, Trace, Tracer, render_jsonl};
+/// use trace::{EventKind, Trace, Tracer, render_jsonl};
 /// let mut t = Tracer::new(0, 16);
 /// t.record(0.5, EventKind::SlaViolation { sla_ratio: 0.9 });
 /// let trace = Trace::merge(vec![t]);
@@ -779,19 +745,6 @@ mod tests {
             footer,
             "{\"events\":2,\"recorded\":4,\"dropped\":2,\"streams\":1,\"runs\":1}"
         );
-    }
-
-    #[test]
-    fn null_tracer_discards_everything() {
-        let mut t = NullTracer;
-        assert!(!t.enabled());
-        for i in 0..100 {
-            t.record(i as f64, EventKind::SlaViolation { sla_ratio: 0.5 });
-        }
-        // Nothing to assert beyond "it did not allocate or panic";
-        // enabled() is the contract instrumentation branches on.
-        let real = Tracer::new(0, 4);
-        assert!(Record::enabled(&real));
     }
 
     #[test]

@@ -327,7 +327,7 @@ impl TraceSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{render_jsonl, EventKind, FreqCause, Record, Trace, Tracer};
+    use crate::{render_jsonl, EventKind, FreqCause, Trace, Tracer};
 
     fn sample_jsonl() -> String {
         let mut fleet = Tracer::new(0, 64);

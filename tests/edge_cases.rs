@@ -4,7 +4,7 @@
 use pas_repro::cpumodel::{CfModel, Frequency, MachineSpec, PStateTable, PowerModel};
 use pas_repro::hypervisor::work::{ConstantDemand, Idle};
 use pas_repro::hypervisor::{HostConfig, SchedulerKind, VmConfig, VmId};
-use pas_repro::pas_core::{Credit, FreqPlanner};
+use pas_repro::pas_core::{Credit, FreqPlanner, PasDomain};
 use pas_repro::simkernel::SimDuration;
 
 /// A machine with a single P-state: DVFS is a no-op and PAS must
@@ -43,11 +43,11 @@ fn planner_on_single_state_ladder_always_returns_it() {
     for load in [0.0, 50.0, 150.0] {
         assert_eq!(planner.compute_new_freq(load), table.max_idx());
     }
-    let plan = planner.plan(&[Credit::percent(30.0)], 40.0);
-    assert!(
-        (plan.credits[0].as_percent() - 30.0).abs() < 1e-9,
-        "identity compensation"
-    );
+    let mut pas = PasDomain::new(table.clone());
+    let target = pas.retarget(40.0, 40.0, table.max_idx());
+    assert_eq!(target, table.max_idx());
+    let cap = pas.cap(Credit::percent(30.0), target).unwrap();
+    assert!((cap - 0.30).abs() < 1e-9, "identity compensation");
 }
 
 #[test]
