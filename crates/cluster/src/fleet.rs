@@ -205,6 +205,22 @@ impl WorkSource for SteppedDemand {
         let t0 = t1 - dt.as_secs_f64();
         self.fmax_mcps * self.spec.integrated_demand(t0, t1, None)
     }
+
+    /// The demand in effect at `now`, until the next step, rounded
+    /// down to the µs so that a window ending there never reaches
+    /// past it.
+    fn rate_until(&self, now: SimTime) -> Option<(f64, SimTime)> {
+        let t = now.as_secs_f64();
+        let until = self
+            .spec
+            .steps
+            .iter()
+            .find(|&&(at, _)| at > t)
+            .map_or(SimTime::MAX, |&(at, _)| {
+                SimTime::from_micros((at * 1e6).floor() as u64)
+            });
+        Some((self.fmax_mcps * self.spec.demand_at(t), until))
+    }
 }
 
 /// The fleet's aggregate bill and service record.
@@ -773,6 +789,50 @@ mod tests {
         assert_eq!(fleet.host_count(), 3);
         let placed: usize = fleet.placement().hosts.iter().map(Vec::len).sum();
         assert_eq!(placed, 12);
+    }
+
+    /// A surge VM's declared rate, times a window that ends before a
+    /// step, exactly on it or starts exactly on it, is what `generate`
+    /// returns for that window, and it holds until the next step,
+    /// rounded down to the µs (for good after the last). A step between
+    /// two µs ticks ends the old rate at the tick before it.
+    #[test]
+    fn stepped_demand_declares_what_it_generates() {
+        let fmax_mcps = 2667.0;
+        let mut surge = SteppedDemand {
+            spec: VmSpec::new("surge", 4.0, 0.25)
+                .with_steps(vec![(40.0, 0.60), (70.000_000_4, 0.1)]),
+            fmax_mcps,
+        };
+        let ms = SimDuration::from_millis;
+        for (start, len, rate, until) in [
+            (
+                SimTime::from_millis(39_900),
+                ms(70),
+                0.25,
+                SimTime::from_secs(40),
+            ),
+            (
+                SimTime::from_millis(39_970),
+                ms(30),
+                0.25,
+                SimTime::from_secs(40),
+            ),
+            (SimTime::from_secs(40), ms(30), 0.60, SimTime::from_secs(70)),
+            (SimTime::from_micros(70_000_001), ms(30), 0.10, SimTime::MAX),
+        ] {
+            let (declared, holds_until) = surge.rate_until(start).expect("declares");
+            assert_eq!(declared, rate * fmax_mcps, "at {start}");
+            assert_eq!(holds_until, until, "at {start}");
+            let generated = surge.generate(start + len, len);
+            let want = declared * len.as_secs_f64();
+            assert!(
+                (generated - want).abs() <= 1e-9 * want,
+                "at {start}: generated {generated}, declared {want}"
+            );
+        }
+        let at_70 = surge.rate_until(SimTime::from_secs(70));
+        assert_eq!(at_70, Some((0.60 * fmax_mcps, SimTime::from_secs(70))));
     }
 
     #[test]

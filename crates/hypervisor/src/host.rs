@@ -14,6 +14,14 @@
 //! one step of the slice loop the multi-core and SMT hosts also run
 //! (the private `slice` module), on the host's single runqueue with
 //! SMT off; the host adds its statistics and trace events.
+//!
+//! On a Credit runqueue (Credit or PAS) whose every VM declares a
+//! demand rate ([`WorkSource::rate_until`]), the host first tries to
+//! run each boundary window as one *busy period*: every VM serves its
+//! whole backlog in one closed-form step, then the core idles to the
+//! boundary. Where that rule does not hold (a cap would bind, the busy
+//! period would cross the boundary, the core is saturated, a VM
+//! declares no rate), the window runs slice by slice.
 
 use cpumodel::{Cpu, SmtSpec};
 use governors::{CpuFreq, Governor};
@@ -22,7 +30,7 @@ use simkernel::{SimDuration, SimTime};
 use trace::{EventKind, FreqCause, Tracer};
 
 use crate::sched::{Credit2Scheduler, CreditScheduler, Scheduler, SedfScheduler};
-use crate::slice::{step_core, RunQueue};
+use crate::slice::{busy_period, step_core, RunQueue};
 use crate::stats::HostStats;
 use crate::vm::{Vm, VmConfig, VmId};
 use crate::work::WorkSource;
@@ -325,10 +333,10 @@ impl Host {
         &self.stats
     }
 
-    /// Always 0: every slice runs through the exact slice loop. The
-    /// accessor stays so benchmark readers keep one shape; exact
-    /// steady-state skipping (ROADMAP item 6) will count the slices it
-    /// skips here.
+    /// Always 0. No fused window replay exists any more; the accessor
+    /// stays so benchmark readers keep one shape. Busy periods, which
+    /// run a whole window in one closed-form step, are not counted
+    /// here.
     #[must_use]
     pub fn fused_slices(&self) -> u64 {
         0
@@ -547,10 +555,12 @@ impl Host {
         self.run_slices(limit, Some(id)).then_some(self.now)
     }
 
-    /// The one run loop: boundary windows up to `t_end`, each run
-    /// slice by slice, stopping early, at the end of a slice, once the
-    /// VM `until_complete` names has completed. Returns whether it
-    /// stopped for that.
+    /// The one run loop: boundary windows up to `t_end`, each run as
+    /// one busy period or slice by slice, stopping early, at the end of
+    /// a step, once the VM `until_complete` names has completed.
+    /// Returns whether it stopped for that. A batch job declares no
+    /// rate, so a host running one takes the slice loop and its
+    /// completion instant stays slice-exact.
     fn run_slices(&mut self, t_end: SimTime, until_complete: Option<VmId>) -> bool {
         let complete =
             |host: &Host| until_complete.is_some_and(|id| host.rq.vms[id.0].is_complete());
@@ -564,6 +574,7 @@ impl Host {
             // benchmarks run.
             assert!(boundary > self.now, "boundary must advance");
             let t0 = self.profiling.then(std::time::Instant::now);
+            let window_start = self.now;
             while self.now < boundary {
                 if self.is_quiescent() {
                     // Idle skip: a quiescent host produces no VM
@@ -580,7 +591,12 @@ impl Host {
                     self.now = boundary;
                     break;
                 }
-                self.advance_one_slice(boundary);
+                // One attempt per window, at its start, to run the
+                // whole window as a busy period; the slice loop
+                // otherwise.
+                if self.now != window_start || !self.advance_busy_period(boundary) {
+                    self.advance_one_slice(boundary);
+                }
                 if complete(self) {
                     stopped = true;
                     break;
@@ -731,6 +747,52 @@ impl Host {
         if self.tracer.is_some() {
             self.trace_slice(start);
         }
+    }
+
+    /// Runs the window up to `boundary` as one busy period of the
+    /// host's runqueue ([`busy_period`]) and returns `true`, or returns
+    /// `false`, changing nothing, where its rule does not hold. Then
+    /// what only this host observes: each VM that ran adds its busy
+    /// time to the statistics and, when traced, records a pick at the
+    /// step's start, in id order (a VM already on the CPU records
+    /// none), and a completion if it finished. The idle pick follows
+    /// at the busy period's end. No pick is a preemption: each VM runs
+    /// its whole backlog.
+    fn advance_busy_period(&mut self, boundary: SimTime) -> bool {
+        let start = self.now;
+        let (ratio, cf) = (self.cpu.ratio(), self.cpu.cf());
+        let stats = &mut self.stats;
+        let mut trace = self
+            .tracer
+            .as_deref_mut()
+            .map(|t| (t, &self.trace_ids, &mut self.last_pick));
+        let mut completed = Vec::new();
+        let ran = busy_period(&mut self.rq, &mut self.cpu, start, boundary, |vm, ran| {
+            stats.on_slice(Some((ran.vm, ran.busy_secs, ran.busy_secs * ratio * cf)));
+            if let Some((t, ids, last)) = trace.as_mut() {
+                if **last != Some(ran.vm) {
+                    t.record_pick(start.as_secs_f64(), Some(ids[ran.vm.0]), false);
+                    **last = Some(ran.vm);
+                }
+                if vm.is_complete() {
+                    completed.push(vm.name_tag.clone());
+                }
+            }
+        });
+        let Some(end) = ran else {
+            return false;
+        };
+        self.now = boundary;
+        if let Some(t) = self.tracer.as_mut() {
+            let end_s = end.as_secs_f64();
+            for vm in completed {
+                t.record(end_s, EventKind::VmComplete { vm });
+            }
+            if self.last_pick.take().is_some() {
+                t.record_pick(end_s, None, false);
+            }
+        }
+        true
     }
 
     /// Records the events of the slice from `start` to now. Only
@@ -922,11 +984,12 @@ mod tests {
 
     /// Recording cap changes is observation only: the P-state and
     /// every cap agree, every 200 ms, with an untraced twin across a
-    /// load change.
+    /// load change, on a thrashing host and on a light one that runs
+    /// busy periods.
     #[test]
     fn event_recording_never_changes_decisions() {
-        let run = |traced: bool| {
-            let mut host = fig9_host(1.0);
+        let run = |v20_demand: f64, traced: bool| {
+            let mut host = fig9_host(v20_demand);
             if traced {
                 host.set_tracer(trace::Tracer::new(1, 64));
             }
@@ -944,7 +1007,9 @@ mod tests {
             }
             decisions
         };
-        assert_eq!(run(true), run(false));
+        for v20_demand in [1.0, 0.05] {
+            assert_eq!(run(v20_demand, true), run(v20_demand, false));
+        }
     }
 
     #[test]
@@ -1074,21 +1139,39 @@ mod tests {
         assert!(times.windows(2).all(|w| w[0] <= w[1]));
     }
 
+    /// On a thrashing host and on a light one that runs busy periods.
+    /// The light host's trace is a valid `pas-repro-trace/v1` document.
     #[test]
     fn tracing_never_changes_the_simulation() {
-        let run = |traced: bool| {
-            let mut host = fig9_host(1.0);
+        let run = |v20_demand: f64, traced: bool| {
+            let mut host = fig9_host(v20_demand);
             if traced {
                 host.set_tracer(trace::Tracer::new(1, 64));
             }
             host.run_for(SimDuration::from_secs(30));
-            (
+            let jsonl = host
+                .take_tracer()
+                .map(|t| trace::render_jsonl("light", &[(None, &trace::Trace::merge(vec![t]))]));
+            let bits = (
                 host.cpu().energy().joules().to_bits(),
                 host.stats().global_busy_fraction().to_bits(),
                 host.cpu().pstate(),
-            )
+            );
+            (bits, jsonl)
         };
-        assert_eq!(run(true), run(false), "tracing must be observation-only");
+        for v20_demand in [1.0, 0.05] {
+            let (traced, jsonl) = run(v20_demand, true);
+            assert_eq!(
+                traced,
+                run(v20_demand, false).0,
+                "tracing must be observation-only"
+            );
+            let summary = trace::summary::summarize(&jsonl.expect("traced")).expect("valid trace");
+            assert!(summary
+                .by_kind
+                .iter()
+                .any(|(kind, n)| kind == "sched_pick" && *n > 0));
+        }
     }
 
     /// The idle skip in the host's run loop must be *bit-identical*
@@ -1165,35 +1248,43 @@ mod tests {
 
     /// Profiling only reads the clock around already-scheduled work:
     /// a profiled run must be bit-identical to an unprofiled one, and
-    /// the phase counters must actually accumulate.
+    /// the phase counters must actually accumulate. On a thrashing
+    /// host and on a light one that runs busy periods.
     #[test]
     fn profiling_is_bit_exact_and_counters_accumulate() {
-        let run = |profiled: bool| {
+        let thrashing = || {
             let mut host = HostConfig::optiplex_defaults(SchedulerKind::Pas).build();
-            host.set_profiling(profiled);
             let d = demand(&host, 1.0);
             host.add_vm(VmConfig::new("v20", Credit::percent(20.0)), d);
-            host.run_for(SimDuration::from_secs(60));
             host
         };
-        let profiled = run(true);
-        let plain = run(false);
-        assert_eq!(fingerprint(&profiled), fingerprint(&plain));
-        assert_eq!(profiled.stats().snapshots(), plain.stats().snapshots());
-        let perf = profiled.perf();
-        assert!(perf.host_slice_ns > 0, "slice phase was timed");
-        assert!(perf.sched_acct_ns > 0, "accounting phase was timed");
-        assert!(perf.snapshot_ns > 0, "snapshot phase was timed");
-        let off = plain.perf();
-        assert_eq!(
-            (
-                off.host_slice_ns,
-                off.sched_acct_ns,
-                off.governor_ns,
-                off.snapshot_ns
-            ),
-            (0, 0, 0, 0),
-            "profiling off must not read the clock"
-        );
+        let light = || fig9_host(0.05);
+        for build in [&thrashing as &dyn Fn() -> Host, &light] {
+            let run = |profiled: bool| {
+                let mut host = build();
+                host.set_profiling(profiled);
+                host.run_for(SimDuration::from_secs(60));
+                host
+            };
+            let profiled = run(true);
+            let plain = run(false);
+            assert_eq!(fingerprint(&profiled), fingerprint(&plain));
+            assert_eq!(profiled.stats().snapshots(), plain.stats().snapshots());
+            let perf = profiled.perf();
+            assert!(perf.host_slice_ns > 0, "slice phase was timed");
+            assert!(perf.sched_acct_ns > 0, "accounting phase was timed");
+            assert!(perf.snapshot_ns > 0, "snapshot phase was timed");
+            let off = plain.perf();
+            assert_eq!(
+                (
+                    off.host_slice_ns,
+                    off.sched_acct_ns,
+                    off.governor_ns,
+                    off.snapshot_ns
+                ),
+                (0, 0, 0, 0),
+                "profiling off must not read the clock"
+            );
+        }
     }
 }

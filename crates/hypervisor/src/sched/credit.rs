@@ -251,6 +251,10 @@ impl Scheduler for CreditScheduler {
             false
         }
     }
+
+    fn runs_busy_periods(&self) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]

@@ -88,4 +88,15 @@ pub trait Scheduler: Send {
         let _ = (vm, cap);
         false
     }
+
+    /// `true` if a busy period on this scheduler's runqueue may run as
+    /// one closed-form step: while no VM's charged time reaches its
+    /// [`max_slice`](Scheduler::max_slice), the scheduler picks some
+    /// runnable VM at every step, so the core never idles with work
+    /// queued and each VM's work and busy time over a complete busy
+    /// period do not depend on the order it picks in. Only
+    /// [`CreditScheduler`], whose caps are its only limit, says yes.
+    fn runs_busy_periods(&self) -> bool {
+        false
+    }
 }

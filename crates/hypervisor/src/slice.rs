@@ -18,6 +18,12 @@
 //! bound, so SMT contention starts and stops exactly when a sibling
 //! does. A sub-microsecond bound rounds up to the 1 µs clock
 //! resolution.
+//!
+//! [`busy_period`] runs a whole boundary window of one runqueue with
+//! SMT off as one closed-form step where the slice loop would drain
+//! its backlog in a cascade of ever-shorter slices. [`Host`](crate::Host)
+//! tries it once at the start of each window and runs [`step_core`]
+//! where it does not apply.
 
 use cpumodel::{Cpu, SmtSpec};
 use simkernel::{SimDuration, SimTime};
@@ -59,6 +65,9 @@ pub(crate) struct RunQueue<S: Scheduler + ?Sized = CreditScheduler> {
     /// What the last [`step_core`] ran here, or `None` if it idled.
     pub(crate) ran: Option<Ran>,
     pub(crate) sched: Box<S>,
+    /// The scheduler's [`Scheduler::runs_busy_periods`], read once
+    /// here so that [`busy_period`] declines with one branch.
+    busy_periods: bool,
 }
 
 /// One runqueue's share of a slice.
@@ -78,6 +87,7 @@ impl<S: Scheduler + ?Sized> RunQueue<S> {
         RunQueue {
             vms: Vec::new(),
             ran: None,
+            busy_periods: sched.runs_busy_periods(),
             sched,
         }
     }
@@ -169,9 +179,239 @@ pub(crate) fn step_core<S: Scheduler + ?Sized>(
     end
 }
 
+/// Runs one runqueue with SMT off from `now` to `boundary` as one
+/// busy period and the idle gap after it, and returns the busy
+/// period's end; or returns `None`, changing nothing, where the rule
+/// does not hold. `on_run` sees each VM that executed work, in
+/// local-id order, just after it did.
+///
+/// **Rule.** The scheduler [runs busy
+/// periods](Scheduler::runs_busy_periods). Every VM declares a demand
+/// rate r ([`Vm::declared_rate`]) that holds up to `boundary`. The
+/// summed rate R is below the capacity C of the current P-state. The
+/// busy period T = B / (C − R), B the summed backlog, rounded up to
+/// the µs, ends by `boundary`. No VM's busy time (b + r·T) / C
+/// exceeds its remaining [`Scheduler::max_slice`].
+///
+/// **Step.** Every VM refills for T, executes its whole backlog and
+/// is charged its busy time once, then refills for the idle gap up to
+/// `boundary`. The core accounts the whole window in one
+/// [`Cpu::account`] call, at busy fraction Σ done / (C · window).
+///
+/// This is the fluid limit of the drain cascade [`step_core`] runs on
+/// the same window, not its bits. Over a complete busy period, each
+/// VM's work and busy time and the core's energy (linear in the busy
+/// fraction) do not depend on pick order. The cascade differs only by
+/// each VM's residue below [`MIN_RUNNABLE_MCYCLES`](crate::vm::MIN_RUNNABLE_MCYCLES),
+/// which it leaves queued, and by the µs rounding of each of its
+/// charges.
+pub(crate) fn busy_period<S: Scheduler + ?Sized>(
+    rq: &mut RunQueue<S>,
+    cpu: &mut Cpu,
+    now: SimTime,
+    boundary: SimTime,
+    mut on_run: impl FnMut(&Vm, Ran),
+) -> Option<SimTime> {
+    if !rq.busy_periods {
+        return None;
+    }
+    let (mut rate_sum, mut backlog) = (0.0, 0.0);
+    for vm in &rq.vms {
+        let (rate, until) = vm.declared_rate(now)?;
+        if until < boundary {
+            return None;
+        }
+        rate_sum += rate;
+        backlog += vm.backlog_mcycles;
+    }
+    let capacity = cpu.pstates().state(cpu.pstate()).effective_mcps();
+    if rate_sum >= capacity {
+        return None;
+    }
+    let window = boundary - now;
+    let busy = SimDuration::from_micros((backlog / (capacity - rate_sum) * 1e6).ceil() as u64);
+    if busy > window {
+        return None;
+    }
+    let period_secs = busy.as_secs_f64();
+    for vm in &rq.vms {
+        let (rate, _) = vm.declared_rate(now)?;
+        let work = vm.backlog_mcycles + rate * period_secs;
+        if work > 0.0 && work > capacity * rq.sched.max_slice(vm.id, now).as_secs_f64() {
+            return None;
+        }
+    }
+
+    let end = now + busy;
+    let mut done_sum = 0.0;
+    for vm in &mut rq.vms {
+        vm.refill(end, busy);
+        let done = vm.execute(vm.backlog_mcycles, end);
+        if done > 0.0 {
+            let busy_secs = done / capacity;
+            rq.sched
+                .charge(vm.id, SimDuration::from_secs_f64(busy_secs));
+            on_run(
+                vm,
+                Ran {
+                    vm: vm.id,
+                    done,
+                    busy_secs,
+                },
+            );
+            done_sum += done;
+        }
+        vm.refill(boundary, window - busy);
+    }
+    cpu.account(
+        (done_sum / (capacity * window.as_secs_f64())).min(1.0),
+        window,
+    );
+    Some(end)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vm::MIN_RUNNABLE_MCYCLES;
+    use crate::work::ConstantDemand;
+    use cpumodel::PStateIdx;
+    use pas_core::{Credit, PasDomain};
+    use proptest::prelude::*;
+
+    /// A Credit runqueue at P-state `pstate`, just after an accounting
+    /// tick, with caps as PAS writes them there. Each VM is
+    /// `(demand, booked, queued_ms)`: a constant demand and a booked
+    /// credit, both fractions of the capacity at fmax, and a backlog of
+    /// `queued_ms` of its own demand.
+    fn steady_core(pstate: usize, vms: &[(f64, f64, f64)]) -> (RunQueue, Cpu) {
+        let mut cpu = cpumodel::machines::optiplex_755().build_cpu();
+        cpu.set_pstate(PStateIdx(pstate)).expect("on the ladder");
+        let pas = PasDomain::new(cpu.pstates().clone());
+        let fmax = cpu.pstates().max().effective_mcps();
+        let mut rq = RunQueue::new(Box::new(CreditScheduler::new()));
+        for (i, &(demand, booked, queued_ms)) in vms.iter().enumerate() {
+            let credit = Credit::percent(booked * 100.0);
+            let rate = demand * fmax;
+            let id = rq.add_vm(
+                VmConfig::new(format!("vm{i}"), credit),
+                Box::new(ConstantDemand::new(rate)),
+            );
+            rq.vms[id.0].backlog_mcycles = rate * queued_ms / 1e3;
+            rq.sched.set_cap(id, pas.cap(credit, cpu.pstate()));
+        }
+        rq.sched.on_accounting(SimTime::ZERO);
+        (rq, cpu)
+    }
+
+    /// Whether [`busy_period`] declines a window of `rq` and leaves
+    /// every backlog and the energy meter as they were.
+    fn declines<S: Scheduler + ?Sized>(rq: &mut RunQueue<S>, cpu: &mut Cpu) -> bool {
+        let backlogs = |rq: &RunQueue<S>| -> Vec<u64> {
+            rq.vms
+                .iter()
+                .map(|vm| vm.backlog_mcycles.to_bits())
+                .collect()
+        };
+        let before = backlogs(rq);
+        let boundary = SimTime::from_millis(30);
+        let end = busy_period(rq, cpu, SimTime::ZERO, boundary, |_, _| {
+            panic!("nothing runs")
+        });
+        end.is_none() && backlogs(rq) == before && cpu.energy().joules() == 0.0
+    }
+
+    /// Where its rule fails, [`busy_period`] declines before it
+    /// changes anything, and the slice loop runs the window.
+    #[test]
+    fn busy_period_declines_where_its_rule_fails() {
+        for (vms, why) in [
+            (vec![(0.3, 0.1, 10.0)], "a cap would bind"),
+            (
+                vec![(0.5, 0.95, 30.0), (0.3, 0.9, 30.0)],
+                "it would cross the boundary",
+            ),
+            (
+                vec![(0.7, 0.95, 0.0), (0.5, 0.9, 0.0)],
+                "the core is saturated",
+            ),
+        ] {
+            let (mut rq, mut cpu) = steady_core(4, &vms);
+            assert!(declines(&mut rq, &mut cpu), "{why}");
+        }
+        let (mut batch, mut cpu) = steady_core(4, &[(0.01, 0.5, 1.0)]);
+        batch.add_vm(
+            VmConfig::new("batch", Credit::percent(50.0)),
+            Box::new(crate::work::test_batch(100.0)),
+        );
+        assert!(declines(&mut batch, &mut cpu), "a VM declares no rate");
+        let mut sedf = RunQueue::new(Box::new(crate::sched::SedfScheduler::new(true)));
+        sedf.add_vm(
+            VmConfig::new("light", Credit::percent(50.0)),
+            Box::new(ConstantDemand::new(10.0)),
+        );
+        assert!(declines(&mut sedf, &mut cpu), "SEDF keeps the slice loop");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The oracle: [`busy_period`] against the drain cascade
+        /// [`step_core`] runs on the same 30 ms window of a steady
+        /// Credit runqueue. Where the rule holds, each VM's work differs
+        /// by at most its residue below `MIN_RUNNABLE_MCYCLES` plus its
+        /// demand over the time the core takes to serve every residue
+        /// (n · `MIN_RUNNABLE_MCYCLES` / (C − R)) and 2 µs of rounding.
+        /// The power model is linear in the busy fraction, so the
+        /// window's energy differs by at most the dynamic energy of
+        /// that much work.
+        #[test]
+        fn busy_period_is_the_fluid_limit_of_the_cascade(
+            pstate in 0usize..5,
+            vms in proptest::collection::vec(
+                (0.0f64..0.3, 0.01f64..0.95, 0.0f64..30.0),
+                1..6,
+            ),
+        ) {
+            let boundary = SimTime::from_millis(30);
+            let (mut closed, mut closed_cpu) = steady_core(pstate, &vms);
+            let (mut cascade, mut cascade_cpu) = steady_core(pstate, &vms);
+            let end = busy_period(&mut closed, &mut closed_cpu, SimTime::ZERO, boundary, |_, _| {});
+            prop_assume!(end.is_some());
+            let mut now = SimTime::ZERO;
+            let mut runnable = Vec::new();
+            while now < boundary {
+                now = step_core(
+                    std::slice::from_mut(&mut cascade),
+                    &mut cascade_cpu,
+                    SmtSpec::off(),
+                    now,
+                    boundary,
+                    &mut runnable,
+                );
+            }
+            let capacity = closed_cpu.pstates().state(closed_cpu.pstate()).effective_mcps();
+            let rate_sum: f64 = vms.iter().map(|v| v.0).sum::<f64>()
+                * closed_cpu.pstates().max().effective_mcps();
+            let catch_up = vms.len() as f64 * MIN_RUNNABLE_MCYCLES / (capacity - rate_sum) + 2e-6;
+            let mut work_bound = 0.0;
+            for (a, b) in closed.vms.iter().zip(&cascade.vms) {
+                let rate = a.declared_rate(SimTime::ZERO).expect("steady").0;
+                let bound = MIN_RUNNABLE_MCYCLES + rate * catch_up;
+                let diff = (a.total_done_mcycles - b.total_done_mcycles).abs();
+                prop_assert!(diff <= bound, "{}: work differs by {diff}, bound {bound}", a.config.name);
+                work_bound += bound;
+            }
+            let machine = cpumodel::machines::optiplex_755();
+            let table = closed_cpu.pstates();
+            let state = table.state(closed_cpu.pstate());
+            let dynamic_w = machine.power.power_scaled(state, table.max(), 1.0)
+                - machine.power.power_scaled(state, table.max(), 0.0);
+            let energy_diff = (closed_cpu.energy().joules() - cascade_cpu.energy().joules()).abs();
+            let energy_bound = dynamic_w * work_bound / capacity;
+            prop_assert!(energy_diff <= energy_bound, "energy differs by {energy_diff} J, bound {energy_bound} J");
+        }
+    }
 
     #[test]
     fn slice_is_the_shortest_bound_and_never_zero() {

@@ -121,10 +121,11 @@ impl HostStats {
         self.per_vm_total.push((0.0, 0.0));
     }
 
-    /// Accounts one scheduling slice ending at `now`.
+    /// Accounts one VM's busy time: once per slice of the slice loop,
+    /// and once per VM that ran in a busy period.
     ///
     /// `running` carries `(vm, busy_secs, abs_busy_secs)` when a VM
-    /// executed during the slice.
+    /// executed, and is `None` for a slice that idled.
     pub fn on_slice(&mut self, running: Option<(VmId, f64, f64)>) {
         if let Some((vm, busy, abs)) = running {
             self.acct.busy_secs += busy;

@@ -220,6 +220,17 @@ impl Vm {
         }
     }
 
+    /// The demand rate the workload declares from `now` and the
+    /// instant it holds until ([`WorkSource::rate_until`]); a steady
+    /// source's cached rate holds for good.
+    #[inline]
+    pub(crate) fn declared_rate(&self, now: SimTime) -> Option<(f64, SimTime)> {
+        match self.steady {
+            Some(s) => Some((s.rate_mcps, SimTime::MAX)),
+            None => self.work.rate_until(now),
+        }
+    }
+
     /// `true` if the VM has enough pending work to be scheduled (see
     /// [`MIN_RUNNABLE_MCYCLES`]); once the workload has generated all
     /// its demand, any remaining backlog tail counts so batch jobs

@@ -115,6 +115,33 @@ pub trait WorkSource: Send {
     fn steady_rate_mcps(&self) -> Option<f64> {
         None
     }
+
+    /// `Some((rate, until))` if this source produces demand at the
+    /// constant `rate` (mega-cycles per second) from `now` up to the
+    /// instant `until` ([`SimTime::MAX`] when the rate holds for
+    /// good). The default derives it from
+    /// [`steady_rate_mcps`](Self::steady_rate_mcps), so it declines
+    /// for every source that is not steady.
+    ///
+    /// **Contract:** a source returning `Some((r, until))` must
+    /// guarantee that, for every span of `dt` ending at `t` with
+    /// `now ≤ t − dt` and `t ≤ until`, [`generate`](Self::generate)
+    /// returns `r · dt` up to float rounding; that
+    /// [`backlog_cap_mcycles`](Self::backlog_cap_mcycles) is infinite;
+    /// and that neither [`on_progress`](Self::on_progress) nor when it
+    /// is called changes what the source generates or reports. Unlike
+    /// `steady_rate_mcps`, this need not be bit-exact and may change
+    /// over time, so the host asks again at every boundary window.
+    ///
+    /// The host relies on this to run a whole busy period of a Credit
+    /// runqueue as one closed-form step (see `Host`'s run loop): it
+    /// refills each VM once for the period, executes its backlog in
+    /// one call and reports the work to `on_progress` once, at the
+    /// period's end.
+    fn rate_until(&self, now: SimTime) -> Option<(f64, SimTime)> {
+        let _ = now;
+        self.steady_rate_mcps().map(|rate| (rate, SimTime::MAX))
+    }
 }
 
 /// A fluid constant-rate demand source (mega-cycles per second).

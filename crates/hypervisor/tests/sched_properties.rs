@@ -170,7 +170,9 @@ proptest! {
 /// Forwards every [`WorkSource`] method to the wrapped source except
 /// `steady_rate_mcps`, which keeps its default `None`: a VM running an
 /// `Opaque` source has no cached demand model, so the host asks the
-/// source on every slice.
+/// source on every slice. `rate_until` is forwarded too, so the
+/// wrapped source still declares its rate, and a host takes the same
+/// busy periods with and without the wrapper.
 struct Opaque<W>(W);
 
 impl<W: WorkSource> WorkSource for Opaque<W> {
@@ -205,6 +207,10 @@ impl<W: WorkSource> WorkSource for Opaque<W> {
     fn qos_summary(&self) -> Option<QosSummary> {
         self.0.qos_summary()
     }
+
+    fn rate_until(&self, now: SimTime) -> Option<(f64, SimTime)> {
+        self.0.rate_until(now)
+    }
 }
 
 /// A steady source, plain or hidden behind [`Opaque`]. Kinds: a busy
@@ -233,7 +239,8 @@ proptest! {
     /// host of steady VMs — random bookings, external cap overrides, a
     /// VM retired or migrated out and back mid-run — must match, to
     /// the last bit, its twin whose sources hide their steady rate and
-    /// so go through the uncached path.
+    /// so go through the uncached path. Both twins' sources declare
+    /// their rate, so the two take the same busy periods.
     #[test]
     fn cached_demand_model_matches_opaque_sources(
         setup in (0usize..2, 0usize..3, 0usize..8, 20u64..60),

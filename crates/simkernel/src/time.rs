@@ -41,6 +41,10 @@ impl SimTime {
     /// The origin of simulated time.
     pub const ZERO: SimTime = SimTime(0);
 
+    /// The last representable instant: "never", for a state that
+    /// holds for good.
+    pub const MAX: SimTime = SimTime(u64::MAX);
+
     /// Creates an instant from whole microseconds.
     #[must_use]
     pub const fn from_micros(us: u64) -> Self {
