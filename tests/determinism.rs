@@ -582,8 +582,8 @@ fn golden_values() -> Vec<(&'static str, u64)> {
 #[test]
 fn golden_bits_are_pinned() {
     const GOLDEN: &[(&str, u64)] = &[
-        ("fleet.energy_j", 0x40e2d7d045de6c13),
-        ("fleet.sla_ratio", 0x3feefc5dc1805aff),
+        ("fleet.energy_j", 0x40e2d8c82472cd17),
+        ("fleet.sla_ratio", 0x3feefcb2c33eeeb7),
         ("fleet.migrations", 1),
         ("pas.v20_abs", 0x3fc33315ffcf35b1),
         ("pas.v70_abs", 0x3fd2aaa548b2aebc),
