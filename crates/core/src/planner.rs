@@ -41,6 +41,9 @@ const SATURATED_LOAD_PCT: f64 = 99.0;
 #[derive(Debug, Clone)]
 pub struct FreqPlanner {
     table: PStateTable,
+    // Each state's `capacity_percent`, in ladder order: a pure
+    // function of the ladder, which never changes after `new`.
+    capacities: Vec<f64>,
     headroom_pct: f64,
 }
 
@@ -49,8 +52,13 @@ impl FreqPlanner {
     /// (the paper's Listing 1.1 uses a strict `>` test and no margin).
     #[must_use]
     pub fn new(table: PStateTable) -> Self {
+        let capacities = table
+            .indices()
+            .map(|idx| capacity_percent(table.ratio(idx), table.cf(idx)))
+            .collect();
         FreqPlanner {
             table,
+            capacities,
             headroom_pct: 0.0,
         }
     }
@@ -91,8 +99,7 @@ impl FreqPlanner {
             absolute_load.is_finite() && absolute_load >= 0.0,
             "invalid absolute load {absolute_load}"
         );
-        for idx in self.table.indices() {
-            let cap = capacity_percent(self.table.ratio(idx), self.table.cf(idx));
+        for (idx, &cap) in self.table.indices().zip(&self.capacities) {
             if cap > absolute_load + self.headroom_pct {
                 return idx;
             }

@@ -179,6 +179,7 @@ impl HostConfig {
             cpu,
             rq: RunQueue::new(sched),
             pas,
+            pas_caps_for: None,
             pas_caps: Vec::new(),
             cpufreq: self.governor.map(CpuFreq::new),
             stats: HostStats::new(),
@@ -239,6 +240,10 @@ pub struct Host {
     // PAS's controller, on a Credit runqueue; `None` for the other
     // schedulers.
     pas: Option<PasDomain>,
+    // The P-state the runqueue's PAS caps were last written for:
+    // `None` before the first tick and after a VM joins, since
+    // `on_vm_added` caps it at its uncompensated credit.
+    pas_caps_for: Option<cpumodel::PStateIdx>,
     // The PAS cap last recorded in the trace, by VM id, for the VMs
     // recorded so far (a prefix, since ticks walk the ids in order).
     // Empty while untraced.
@@ -309,6 +314,7 @@ impl Host {
     pub fn add_vm(&mut self, config: VmConfig, work: Box<dyn WorkSource>) -> VmId {
         self.stats.register_vm(&config.name);
         let id = self.rq.add_vm(config, work);
+        self.pas_caps_for = None;
         if let Some(t) = self.tracer.as_mut() {
             self.trace_ids.push(t.intern(&self.rq.vms[id.0].name_tag));
         }
@@ -629,9 +635,15 @@ impl Host {
                 // Listing 1.2, with the absolute load measured exactly
                 // by the host (integrated per slice).
                 let target = pas.retarget(abs, load, self.cpu.pstate());
-                for vm in &self.rq.vms {
-                    let cap = pas.cap(vm.config.credit, target);
-                    self.rq.sched.set_cap_external(vm.id, cap);
+                // An Eq. 4 cap is a pure function of the booking and
+                // the target, and nothing else writes a cap on a PAS
+                // host, so the caps change only with the target.
+                if self.pas_caps_for != Some(target) {
+                    for vm in &self.rq.vms {
+                        let cap = pas.cap(vm.config.credit, target);
+                        self.rq.sched.set_cap_external(vm.id, cap);
+                    }
+                    self.pas_caps_for = Some(target);
                 }
                 self.cpu
                     .set_pstate(target)

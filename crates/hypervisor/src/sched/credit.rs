@@ -30,6 +30,10 @@ struct VmCredit {
     /// Fairness credit in microseconds (refilled by weight, burned by
     /// runtime): positive = UNDER, negative = OVER.
     credit_us: i64,
+    /// The credit each accounting tick refills, in microseconds: the
+    /// period's share by weight. Set for every VM by `on_vm_added`,
+    /// the only writer of any weight.
+    share_us: i64,
 }
 
 /// A cap and the wall time it allows per accounting period.
@@ -141,10 +145,6 @@ impl CreditScheduler {
         let vm = self.entry(id);
         vm.cap.is_none_or(|cap| vm.used < cap.allowance)
     }
-
-    fn total_weight(&self) -> u64 {
-        self.vms.iter().map(|v| u64::from(v.weight)).sum()
-    }
 }
 
 impl Scheduler for CreditScheduler {
@@ -164,18 +164,23 @@ impl Scheduler for CreditScheduler {
             cap: cfg.credit.as_cap().map(|c| Cap::new(self.period, c)),
             used: SimDuration::ZERO,
             credit_us: 0,
+            share_us: 0,
         });
+        // A new weight changes every VM's share of the period.
+        let total_weight: u64 = self.vms.iter().map(|v| u64::from(v.weight)).sum();
+        let period_us = self.period.as_micros() as i64;
+        for vm in &mut self.vms {
+            vm.share_us = period_us * i64::from(vm.weight) / total_weight.max(1) as i64;
+        }
     }
 
     fn on_accounting(&mut self, _now: SimTime) {
-        let total_weight = self.total_weight().max(1);
         let period_us = self.period.as_micros() as i64;
         for vm in &mut self.vms {
             vm.used = SimDuration::ZERO;
-            let share = period_us * i64::from(vm.weight) / total_weight as i64;
             // Refill and clamp, as Xen does, so an idle VM cannot hoard
             // unbounded credit.
-            vm.credit_us = (vm.credit_us + share).clamp(-period_us, period_us);
+            vm.credit_us = (vm.credit_us + vm.share_us).clamp(-period_us, period_us);
         }
     }
 
