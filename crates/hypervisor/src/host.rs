@@ -17,11 +17,17 @@
 //!
 //! On a Credit runqueue (Credit or PAS) whose every VM declares a
 //! demand rate ([`WorkSource::rate_until`]), the host first tries to
-//! run each boundary window as one *busy period*: every VM serves its
-//! whole backlog in one closed-form step, then the core idles to the
-//! boundary. Where that rule does not hold (a cap would bind, the busy
-//! period would cross the boundary, the core is saturated, a VM
-//! declares no rate), the window runs slice by slice.
+//! run each boundary window as one *busy period*: in one closed-form
+//! step every VM serves its whole backlog, or a VM whose cap binds its
+//! whole allowance, then the core idles to the boundary. Where that
+//! rule does not hold (even capped, the busy period would cross the
+//! boundary; the uncapped VMs saturate the core; a VM declares no
+//! rate), the window runs slice by slice.
+//!
+//! A PAS host's accounting tick retargets its [`PasDomain`] every
+//! time, but rewrites the caps only when the target P-state differs
+//! from the one they were written for: an Equation 4 cap is a pure
+//! function of the booking and the P-state.
 
 use cpumodel::{Cpu, SmtSpec};
 use governors::{CpuFreq, Governor};
@@ -30,7 +36,7 @@ use simkernel::{SimDuration, SimTime};
 use trace::{EventKind, FreqCause, Tracer};
 
 use crate::sched::{Credit2Scheduler, CreditScheduler, Scheduler, SedfScheduler};
-use crate::slice::{busy_period, step_core, RunQueue};
+use crate::slice::{busy_period, run_busy_period, step_core, RunQueue};
 use crate::stats::HostStats;
 use crate::vm::{Vm, VmConfig, VmId};
 use crate::work::WorkSource;
@@ -762,16 +768,19 @@ impl Host {
     }
 
     /// Runs the window up to `boundary` as one busy period of the
-    /// host's runqueue ([`busy_period`]) and returns `true`, or returns
-    /// `false`, changing nothing, where its rule does not hold. Then
-    /// what only this host observes: each VM that ran adds its busy
-    /// time to the statistics and, when traced, records a pick at the
-    /// step's start, in id order (a VM already on the CPU records
-    /// none), and a completion if it finished. The idle pick follows
-    /// at the busy period's end. No pick is a preemption: each VM runs
-    /// its whole backlog.
+    /// host's runqueue and returns `true`, or returns `false`, changing
+    /// nothing, where [`busy_period`] plans none. Then what only this
+    /// host observes: each VM that ran adds its busy time to the
+    /// statistics and, when traced, records a pick at the step's start,
+    /// in id order (a VM already on the CPU records none), and a
+    /// completion if it finished. The idle pick follows at the busy
+    /// period's end. No pick is a preemption: each VM runs its whole
+    /// backlog or its whole allowance.
     fn advance_busy_period(&mut self, boundary: SimTime) -> bool {
         let start = self.now;
+        let Some(busy) = busy_period(&self.rq, &self.cpu, start, boundary) else {
+            return false;
+        };
         let (ratio, cf) = (self.cpu.ratio(), self.cpu.cf());
         let stats = &mut self.stats;
         let mut trace = self
@@ -779,21 +788,25 @@ impl Host {
             .as_deref_mut()
             .map(|t| (t, &self.trace_ids, &mut self.last_pick));
         let mut completed = Vec::new();
-        let ran = busy_period(&mut self.rq, &mut self.cpu, start, boundary, |vm, ran| {
-            stats.on_slice(Some((ran.vm, ran.busy_secs, ran.busy_secs * ratio * cf)));
-            if let Some((t, ids, last)) = trace.as_mut() {
-                if **last != Some(ran.vm) {
-                    t.record_pick(start.as_secs_f64(), Some(ids[ran.vm.0]), false);
-                    **last = Some(ran.vm);
+        let end = run_busy_period(
+            &mut self.rq,
+            &mut self.cpu,
+            start,
+            boundary,
+            busy,
+            |vm, ran| {
+                stats.on_slice(Some((ran.vm, ran.busy_secs, ran.busy_secs * ratio * cf)));
+                if let Some((t, ids, last)) = trace.as_mut() {
+                    if **last != Some(ran.vm) {
+                        t.record_pick(start.as_secs_f64(), Some(ids[ran.vm.0]), false);
+                        **last = Some(ran.vm);
+                    }
+                    if vm.is_complete() {
+                        completed.push(vm.name_tag.clone());
+                    }
                 }
-                if vm.is_complete() {
-                    completed.push(vm.name_tag.clone());
-                }
-            }
-        });
-        let Some(end) = ran else {
-            return false;
-        };
+            },
+        );
         self.now = boundary;
         if let Some(t) = self.tracer.as_mut() {
             let end_s = end.as_secs_f64();

@@ -19,11 +19,12 @@
 //! does. A sub-microsecond bound rounds up to the 1 µs clock
 //! resolution.
 //!
-//! [`busy_period`] runs a whole boundary window of one runqueue with
-//! SMT off as one closed-form step where the slice loop would drain
-//! its backlog in a cascade of ever-shorter slices. [`Host`](crate::Host)
-//! tries it once at the start of each window and runs [`step_core`]
-//! where it does not apply.
+//! [`busy_period`] plans a whole boundary window of one runqueue with
+//! SMT off as one closed-form busy period, capped VMs included, where
+//! the slice loop would drain its backlog in a cascade of
+//! ever-shorter slices, and [`run_busy_period`] runs it in one step.
+//! [`Host`](crate::Host) plans once at the start of each window and
+//! runs [`step_core`] where no plan exists.
 
 use cpumodel::{Cpu, SmtSpec};
 use simkernel::{SimDuration, SimTime};
@@ -179,39 +180,36 @@ pub(crate) fn step_core<S: Scheduler + ?Sized>(
     end
 }
 
-/// Runs one runqueue with SMT off from `now` to `boundary` as one
-/// busy period and the idle gap after it, and returns the busy
-/// period's end; or returns `None`, changing nothing, where the rule
-/// does not hold. `on_run` sees each VM that executed work, in
-/// local-id order, just after it did.
+/// The busy period of one runqueue with SMT off from `now`, if the
+/// whole window up to `boundary` can run as that busy period and the
+/// idle gap after it; `None` where the rule does not hold. Pure:
+/// [`run_busy_period`] applies it.
 ///
 /// **Rule.** The scheduler [runs busy
-/// periods](Scheduler::runs_busy_periods). Every VM declares a demand
-/// rate r ([`Vm::declared_rate`]) that holds up to `boundary`. The
-/// summed rate R is below the capacity C of the current P-state. The
-/// busy period T = B / (C − R), B the summed backlog, rounded up to
-/// the µs, ends by `boundary`. No VM's busy time (b + r·T) / C
-/// exceeds its remaining [`Scheduler::max_slice`].
+/// periods](Scheduler::runs_busy_periods), and every VM declares a
+/// demand rate r ([`Vm::declared_rate`]) that holds up to `boundary`.
+/// At the capacity C of the current P-state, VM i may do at most
+/// aᵢ = C × its remaining [`Scheduler::max_slice`]. The busy period is
+/// the first T at which the core has served everything it could:
+/// C·T = Σ min(bᵢ + rᵢ·T, aᵢ), b the backlogs. The step declines where
+/// the uncapped VMs' rates reach C, or where T, rounded up to the µs,
+/// would end after `boundary`.
 ///
-/// **Step.** Every VM refills for T, executes its whole backlog and
-/// is charged its busy time once, then refills for the idle gap up to
-/// `boundary`. The core accounts the whole window in one
-/// [`Cpu::account`] call, at busy fraction Σ done / (C · window).
-///
-/// This is the fluid limit of the drain cascade [`step_core`] runs on
-/// the same window, not its bits. Over a complete busy period, each
-/// VM's work and busy time and the core's energy (linear in the busy
-/// fraction) do not depend on pick order. The cascade differs only by
-/// each VM's residue below [`MIN_RUNNABLE_MCYCLES`](crate::vm::MIN_RUNNABLE_MCYCLES),
-/// which it leaves queued, and by the µs rounding of each of its
-/// charges.
+/// **Solve.** The right-hand side is concave in T, so Newton's method
+/// from above falls onto the root. It starts at T = B / (C − R), B the
+/// summed backlog and R the summed rate, rounded up to the µs and
+/// clamped to the window, or at the window when R ≥ C. Each pass caps
+/// every VM whose bᵢ + rᵢ·T exceeds aᵢ and sets T = (Σ uncapped b +
+/// Σ capped a) / (C − Σ uncapped r), rounded up to the µs, until T
+/// stops falling. The capped set only shrinks, so that takes at most
+/// n + 1 passes, and where no cap binds the first pass returns the
+/// start.
 pub(crate) fn busy_period<S: Scheduler + ?Sized>(
-    rq: &mut RunQueue<S>,
-    cpu: &mut Cpu,
+    rq: &RunQueue<S>,
+    cpu: &Cpu,
     now: SimTime,
     boundary: SimTime,
-    mut on_run: impl FnMut(&Vm, Ran),
-) -> Option<SimTime> {
+) -> Option<SimDuration> {
     if !rq.busy_periods {
         return None;
     }
@@ -225,28 +223,97 @@ pub(crate) fn busy_period<S: Scheduler + ?Sized>(
         backlog += vm.backlog_mcycles;
     }
     let capacity = cpu.pstates().state(cpu.pstate()).effective_mcps();
-    if rate_sum >= capacity {
-        return None;
-    }
     let window = boundary - now;
-    let busy = SimDuration::from_micros((backlog / (capacity - rate_sum) * 1e6).ceil() as u64);
-    if busy > window {
-        return None;
-    }
-    let period_secs = busy.as_secs_f64();
-    for vm in &rq.vms {
-        let (rate, _) = vm.declared_rate(now)?;
-        let work = vm.backlog_mcycles + rate * period_secs;
-        if work > 0.0 && work > capacity * rq.sched.max_slice(vm.id, now).as_secs_f64() {
+    let mut busy = if rate_sum < capacity {
+        micros_up(backlog / (capacity - rate_sum)).min(window)
+    } else {
+        window
+    };
+    loop {
+        let secs = busy.as_secs_f64();
+        let (mut free_rate, mut work) = (0.0, 0.0);
+        for vm in &rq.vms {
+            let (rate, _) = vm.declared_rate(now)?;
+            match binding_allowance(&*rq.sched, vm, rate, secs, capacity, now) {
+                Some(allowance) => work += allowance,
+                None => {
+                    work += vm.backlog_mcycles;
+                    free_rate += rate;
+                }
+            }
+        }
+        if free_rate >= capacity {
             return None;
         }
+        let next = micros_up(work / (capacity - free_rate));
+        if next >= busy {
+            return (next <= window).then_some(next);
+        }
+        busy = next;
     }
+}
 
+/// `secs`, rounded up to the µs.
+#[inline]
+fn micros_up(secs: f64) -> SimDuration {
+    SimDuration::from_micros((secs * 1e6).ceil() as u64)
+}
+
+/// What VM `vm`, at demand `rate`, may do in a busy period of `secs`
+/// from `now` on a core of `capacity`, where that binds: `capacity`
+/// times its remaining [`Scheduler::max_slice`], if its backlog plus
+/// its demand exceeds it; `None` if it can serve all of it.
+#[inline]
+fn binding_allowance<S: Scheduler + ?Sized>(
+    sched: &S,
+    vm: &Vm,
+    rate: f64,
+    secs: f64,
+    capacity: f64,
+    now: SimTime,
+) -> Option<f64> {
+    let allowance = capacity * sched.max_slice(vm.id, now).as_secs_f64();
+    (vm.backlog_mcycles + rate * secs > allowance).then_some(allowance)
+}
+
+/// Runs the busy period [`busy_period`] planned, `busy` from `now`,
+/// and the idle gap after it up to `boundary`, and returns the busy
+/// period's end. `on_run` sees each VM that executed work, in
+/// local-id order, just after it did.
+///
+/// Every VM refills for `busy`. A VM whose allowance binds at `busy`
+/// executes exactly that allowance and keeps the rest queued; every
+/// other VM executes its whole backlog. Each is charged its busy time
+/// once, then refills for the idle gap. The core accounts the whole
+/// window in one [`Cpu::account`] call, at busy fraction
+/// Σ done / (C · window).
+///
+/// This is the fluid limit of the drain cascade [`step_core`] runs on
+/// the same window, not its bits. Over a complete busy period the
+/// cascade serves a capped VM until its allowance is spent and drains
+/// every other, so each VM's work and busy time and the core's energy
+/// (linear in the busy fraction) do not depend on pick order. The
+/// cascade differs only by each VM's residue below
+/// [`MIN_RUNNABLE_MCYCLES`](crate::vm::MIN_RUNNABLE_MCYCLES), which it
+/// leaves queued, and by the µs rounding of each of its charges.
+pub(crate) fn run_busy_period<S: Scheduler + ?Sized>(
+    rq: &mut RunQueue<S>,
+    cpu: &mut Cpu,
+    now: SimTime,
+    boundary: SimTime,
+    busy: SimDuration,
+    mut on_run: impl FnMut(&Vm, Ran),
+) -> SimTime {
+    let capacity = cpu.pstates().state(cpu.pstate()).effective_mcps();
+    let window = boundary - now;
     let end = now + busy;
+    let secs = busy.as_secs_f64();
     let mut done_sum = 0.0;
     for vm in &mut rq.vms {
+        let (rate, _) = vm.declared_rate(now).expect("the plan read every rate");
+        let allowance = binding_allowance(&*rq.sched, vm, rate, secs, capacity, now);
         vm.refill(end, busy);
-        let done = vm.execute(vm.backlog_mcycles, end);
+        let done = vm.execute(allowance.unwrap_or(vm.backlog_mcycles), end);
         if done > 0.0 {
             let busy_secs = done / capacity;
             rq.sched
@@ -267,7 +334,7 @@ pub(crate) fn busy_period<S: Scheduler + ?Sized>(
         (done_sum / (capacity * window.as_secs_f64())).min(1.0),
         window,
     );
-    Some(end)
+    end
 }
 
 #[cfg(test)]
@@ -304,113 +371,174 @@ mod tests {
         (rq, cpu)
     }
 
-    /// Whether [`busy_period`] declines a window of `rq` and leaves
-    /// every backlog and the energy meter as they were.
-    fn declines<S: Scheduler + ?Sized>(rq: &mut RunQueue<S>, cpu: &mut Cpu) -> bool {
-        let backlogs = |rq: &RunQueue<S>| -> Vec<u64> {
-            rq.vms
-                .iter()
-                .map(|vm| vm.backlog_mcycles.to_bits())
-                .collect()
-        };
-        let before = backlogs(rq);
-        let boundary = SimTime::from_millis(30);
-        let end = busy_period(rq, cpu, SimTime::ZERO, boundary, |_, _| {
-            panic!("nothing runs")
-        });
-        end.is_none() && backlogs(rq) == before && cpu.energy().joules() == 0.0
+    /// Whether [`busy_period`] plans no busy period for a 30 ms window
+    /// of `rq`.
+    fn declines<S: Scheduler + ?Sized>(rq: &RunQueue<S>, cpu: &Cpu) -> bool {
+        busy_period(rq, cpu, SimTime::ZERO, SimTime::from_millis(30)).is_none()
     }
 
-    /// Where its rule fails, [`busy_period`] declines before it
-    /// changes anything, and the slice loop runs the window.
+    /// Where its rule fails, [`busy_period`] plans nothing, and the
+    /// slice loop runs the window.
     #[test]
     fn busy_period_declines_where_its_rule_fails() {
         for (vms, why) in [
-            (vec![(0.3, 0.1, 10.0)], "a cap would bind"),
             (
-                vec![(0.5, 0.95, 30.0), (0.3, 0.9, 30.0)],
+                vec![(0.6, 0.55, 30.0), (0.6, 0.55, 30.0)],
+                "capped, it still crosses the boundary",
+            ),
+            (
+                vec![(0.45, 0.95, 30.0), (0.3, 0.9, 30.0)],
                 "it would cross the boundary",
             ),
             (
                 vec![(0.7, 0.95, 0.0), (0.5, 0.9, 0.0)],
-                "the core is saturated",
+                "the uncapped VMs saturate the core",
             ),
         ] {
-            let (mut rq, mut cpu) = steady_core(4, &vms);
-            assert!(declines(&mut rq, &mut cpu), "{why}");
+            let (rq, cpu) = steady_core(4, &vms);
+            assert!(declines(&rq, &cpu), "{why}");
         }
-        let (mut batch, mut cpu) = steady_core(4, &[(0.01, 0.5, 1.0)]);
+        let (mut batch, cpu) = steady_core(4, &[(0.01, 0.5, 1.0)]);
         batch.add_vm(
             VmConfig::new("batch", Credit::percent(50.0)),
             Box::new(crate::work::test_batch(100.0)),
         );
-        assert!(declines(&mut batch, &mut cpu), "a VM declares no rate");
+        assert!(declines(&batch, &cpu), "a VM declares no rate");
         let mut sedf = RunQueue::new(Box::new(crate::sched::SedfScheduler::new(true)));
         sedf.add_vm(
             VmConfig::new("light", Credit::percent(50.0)),
             Box::new(ConstantDemand::new(10.0)),
         );
-        assert!(declines(&mut sedf, &mut cpu), "SEDF keeps the slice loop");
+        assert!(declines(&sedf, &cpu), "SEDF keeps the slice loop");
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
+    /// One case of the oracle below: the busy period of a 30 ms window
+    /// of `steady_core(pstate, vms)` against the drain cascade
+    /// [`step_core`] runs on a twin. Returns `None` where
+    /// [`busy_period`] plans nothing, else whether an allowance capped
+    /// a VM.
+    fn check_fluid_limit(pstate: usize, vms: &[(f64, f64, f64)]) -> Option<bool> {
+        let boundary = SimTime::from_millis(30);
+        let (mut closed, mut closed_cpu) = steady_core(pstate, vms);
+        let (mut cascade, mut cascade_cpu) = steady_core(pstate, vms);
+        let busy = busy_period(&closed, &closed_cpu, SimTime::ZERO, boundary)?;
+        let capacity = closed_cpu
+            .pstates()
+            .state(closed_cpu.pstate())
+            .effective_mcps();
+        let allowances: Vec<Option<f64>> = closed
+            .vms
+            .iter()
+            .map(|vm| {
+                let rate = vm.declared_rate(SimTime::ZERO).expect("steady").0;
+                let secs = busy.as_secs_f64();
+                binding_allowance(&*closed.sched, vm, rate, secs, capacity, SimTime::ZERO)
+            })
+            .collect();
+        run_busy_period(
+            &mut closed,
+            &mut closed_cpu,
+            SimTime::ZERO,
+            boundary,
+            busy,
+            |_, _| {},
+        );
 
-        /// The oracle: [`busy_period`] against the drain cascade
-        /// [`step_core`] runs on the same 30 ms window of a steady
-        /// Credit runqueue. Where the rule holds, each VM's work differs
-        /// by at most its residue below `MIN_RUNNABLE_MCYCLES` plus its
-        /// demand over the time the core takes to serve every residue
-        /// (n · `MIN_RUNNABLE_MCYCLES` / (C − R)) and 2 µs of rounding.
-        /// The power model is linear in the busy fraction, so the
-        /// window's energy differs by at most the dynamic energy of
-        /// that much work.
-        #[test]
-        fn busy_period_is_the_fluid_limit_of_the_cascade(
-            pstate in 0usize..5,
-            vms in proptest::collection::vec(
-                (0.0f64..0.3, 0.01f64..0.95, 0.0f64..30.0),
-                1..6,
-            ),
-        ) {
-            let boundary = SimTime::from_millis(30);
-            let (mut closed, mut closed_cpu) = steady_core(pstate, &vms);
-            let (mut cascade, mut cascade_cpu) = steady_core(pstate, &vms);
-            let end = busy_period(&mut closed, &mut closed_cpu, SimTime::ZERO, boundary, |_, _| {});
-            prop_assume!(end.is_some());
-            let mut now = SimTime::ZERO;
-            let mut runnable = Vec::new();
-            while now < boundary {
-                now = step_core(
-                    std::slice::from_mut(&mut cascade),
-                    &mut cascade_cpu,
-                    SmtSpec::off(),
-                    now,
-                    boundary,
-                    &mut runnable,
-                );
+        let mut now = SimTime::ZERO;
+        let mut runnable = Vec::new();
+        let mut charged = vec![0u32; vms.len()];
+        while now < boundary {
+            now = step_core(
+                std::slice::from_mut(&mut cascade),
+                &mut cascade_cpu,
+                SmtSpec::off(),
+                now,
+                boundary,
+                &mut runnable,
+            );
+            if let Some(ran) = cascade.ran.filter(|ran| ran.done > 0.0) {
+                charged[ran.vm.0] += 1;
             }
-            let capacity = closed_cpu.pstates().state(closed_cpu.pstate()).effective_mcps();
-            let rate_sum: f64 = vms.iter().map(|v| v.0).sum::<f64>()
-                * closed_cpu.pstates().max().effective_mcps();
-            let catch_up = vms.len() as f64 * MIN_RUNNABLE_MCYCLES / (capacity - rate_sum) + 2e-6;
-            let mut work_bound = 0.0;
-            for (a, b) in closed.vms.iter().zip(&cascade.vms) {
-                let rate = a.declared_rate(SimTime::ZERO).expect("steady").0;
-                let bound = MIN_RUNNABLE_MCYCLES + rate * catch_up;
-                let diff = (a.total_done_mcycles - b.total_done_mcycles).abs();
-                prop_assert!(diff <= bound, "{}: work differs by {diff}, bound {bound}", a.config.name);
-                work_bound += bound;
-            }
-            let machine = cpumodel::machines::optiplex_755();
-            let table = closed_cpu.pstates();
-            let state = table.state(closed_cpu.pstate());
-            let dynamic_w = machine.power.power_scaled(state, table.max(), 1.0)
-                - machine.power.power_scaled(state, table.max(), 0.0);
-            let energy_diff = (closed_cpu.energy().joules() - cascade_cpu.energy().joules()).abs();
-            let energy_bound = dynamic_w * work_bound / capacity;
-            prop_assert!(energy_diff <= energy_bound, "energy differs by {energy_diff} J, bound {energy_bound} J");
         }
+
+        // The uncapped VMs catch up with the residues at the rate the
+        // capped ones leave them.
+        let free_rate: f64 = closed
+            .vms
+            .iter()
+            .zip(&allowances)
+            .filter(|(_, a)| a.is_none())
+            .map(|(vm, _)| vm.declared_rate(SimTime::ZERO).expect("steady").0)
+            .sum();
+        let catch_up = vms.len() as f64 * MIN_RUNNABLE_MCYCLES / (capacity - free_rate) + 2e-6;
+        let mut work_bound = 0.0;
+        for (i, (a, b)) in closed.vms.iter().zip(&cascade.vms).enumerate() {
+            let bound = match allowances[i] {
+                Some(allowance) => {
+                    assert_eq!(a.total_done_mcycles, allowance, "{}: capped", a.config.name);
+                    MIN_RUNNABLE_MCYCLES + capacity * 0.5e-6 * f64::from(charged[i])
+                }
+                None => {
+                    let rate = a.declared_rate(SimTime::ZERO).expect("steady").0;
+                    MIN_RUNNABLE_MCYCLES + rate * catch_up
+                }
+            };
+            let diff = (a.total_done_mcycles - b.total_done_mcycles).abs();
+            assert!(
+                diff <= bound,
+                "{}: work differs by {diff}, bound {bound} ({pstate}, {vms:?})",
+                a.config.name
+            );
+            work_bound += bound;
+        }
+        let machine = cpumodel::machines::optiplex_755();
+        let table = closed_cpu.pstates();
+        let state = table.state(closed_cpu.pstate());
+        let dynamic_w = machine.power.power_scaled(state, table.max(), 1.0)
+            - machine.power.power_scaled(state, table.max(), 0.0);
+        let energy_diff = (closed_cpu.energy().joules() - cascade_cpu.energy().joules()).abs();
+        let energy_bound = dynamic_w * work_bound / capacity;
+        assert!(
+            energy_diff <= energy_bound,
+            "energy differs by {energy_diff} J, bound {energy_bound} J ({pstate}, {vms:?})"
+        );
+        Some(allowances.iter().any(Option::is_some))
+    }
+
+    /// The oracle: [`busy_period`] against the drain cascade
+    /// [`step_core`] runs on the same 30 ms window of 1024 random steady
+    /// Credit runqueues, with caps as PAS writes them and demand up to
+    /// the whole capacity at fmax, so that caps bind and thrashers run.
+    /// Where a plan exists, each uncapped VM's work differs by at most
+    /// its residue below `MIN_RUNNABLE_MCYCLES` plus its demand over
+    /// the time the core takes to serve every residue
+    /// (n · `MIN_RUNNABLE_MCYCLES` / (C − uncapped R)) and 2 µs of
+    /// rounding. Each capped VM does exactly its allowance in one step;
+    /// in the cascade it may stop short by its residue, and each charge
+    /// rounds its busy time to the µs. The power model is linear in the
+    /// busy fraction, so the window's energy differs by at most the
+    /// dynamic energy of that much work. A third of the cases that
+    /// take the step must hold a capped VM (269 of 374 do).
+    #[test]
+    fn busy_period_is_the_fluid_limit_of_the_cascade() {
+        let cases = (
+            0usize..5,
+            proptest::collection::vec((0.0f64..1.0, 0.01f64..0.95, 0.0f64..30.0), 1..6),
+        );
+        let mut rng = TestRng::deterministic(0x5eed_b05e);
+        let (mut planned, mut with_cap) = (0, 0);
+        for _ in 0..1024 {
+            let (pstate, vms) = cases.sample(&mut rng);
+            if let Some(capped) = check_fluid_limit(pstate, &vms) {
+                planned += 1;
+                with_cap += usize::from(capped);
+            }
+        }
+        assert!(planned >= 256, "{planned} of 1024 cases took the step");
+        assert!(
+            with_cap * 3 >= planned,
+            "{with_cap} of {planned} planned cases hold a capped VM"
+        );
     }
 
     #[test]
