@@ -582,8 +582,8 @@ fn golden_values() -> Vec<(&'static str, u64)> {
 #[test]
 fn golden_bits_are_pinned() {
     const GOLDEN: &[(&str, u64)] = &[
-        ("fleet.energy_j", 0x40e2d8c82472cd17),
-        ("fleet.sla_ratio", 0x3feefcb2c33eeeb7),
+        ("fleet.energy_j", 0x40e2d7c484d97a17),
+        ("fleet.sla_ratio", 0x3feefc239c4dbcb9),
         ("fleet.migrations", 1),
         ("pas.v20_abs", 0x3fc33315ffcf35b1),
         ("pas.v70_abs", 0x3fd2aaa548b2aebc),
@@ -594,7 +594,7 @@ fn golden_bits_are_pinned() {
         ("credit_ondemand.energy_j", 0x40e4e879f2edc92a),
         ("credit_ondemand.v20_mean_latency_s", 0x4013d6cf42726d3f),
         ("credit_ondemand.v20_p95_latency_s", 0x4020d04a515ce9e6),
-        ("steady_pas.energy_j", 0x40b7f06db0da5e64),
+        ("steady_pas.energy_j", 0x40b7f06db0da5dbb),
         ("steady_pas.trace_fnv1a64", 0xe250e4ce551ed3e8),
         ("multihost.energy_j", 0x40cb580733d69ebf),
         ("smthost.energy_j", 0x40b2c342bba89023),
