@@ -191,7 +191,7 @@ pub(crate) fn step_core<S: Scheduler + ?Sized>(
 /// At the capacity C of the current P-state, VM i may do at most
 /// aᵢ = C × its remaining [`Scheduler::max_slice`]. The busy period is
 /// the first T at which the core has served everything it could:
-/// C·T = Σ min(bᵢ + rᵢ·T, aᵢ), b the backlogs. The step declines where
+/// C·T = Σ min(bᵢ + rᵢ·T, aᵢ), b the backlogs. The plan declines where
 /// the uncapped VMs' rates reach C, or where T, rounded up to the µs,
 /// would end after `boundary`.
 ///
@@ -398,6 +398,11 @@ mod tests {
             let (rq, cpu) = steady_core(4, &vms);
             assert!(declines(&rq, &cpu), "{why}");
         }
+        let (capped, cpu) = steady_core(4, &[(0.3, 0.1, 10.0)]);
+        assert!(
+            !declines(&capped, &cpu),
+            "a binding cap alone plans the step"
+        );
         let (mut batch, cpu) = steady_core(4, &[(0.01, 0.5, 1.0)]);
         batch.add_vm(
             VmConfig::new("batch", Credit::percent(50.0)),

@@ -13,8 +13,8 @@
 #   scripts/bench.sh pairs PARENT [PAIRS]
 #       PARENT is a checkout of the parent commit. Builds its
 #       perfbench and this tree's, then runs PAIRS (default 6)
-#       parent/child pairs of fleet and of hosts at seed 1 with
-#       --seconds 0 --trace 0, alternating which side runs first.
+#       parent/child pairs of fleet, of hosts and of serve at seed 1
+#       with --seconds 0 --trace 0, alternating which side runs first.
 #       Fails if a run is not correct, or if a workload's median
 #       child/parent host_s_per_s ratio is below 1 - bound, the bound
 #       BENCHMARK.json gives host_s_per_s.
@@ -106,7 +106,7 @@ pairs() {
     build "$parent"
     build "$root"
     local w i side failed=0
-    for w in fleet hosts; do
+    for w in fleet hosts serve; do
         local ratios="$out/pairs-$w.txt"
         : >"$ratios"
         for i in $(seq 1 "$n"); do
