@@ -4,7 +4,7 @@ use std::fmt;
 
 use simkernel::SimDuration;
 
-use crate::power::{EnergyMeter, PowerModel};
+use crate::power::{dynamic_factors, EnergyMeter, PowerModel};
 use crate::pstate::{PStateIdx, PStateTable};
 
 /// Errors from [`Cpu`] operations.
@@ -63,6 +63,10 @@ pub struct Cpu {
     pstates: PStateTable,
     power: PowerModel,
     current: PStateIdx,
+    // `current`'s F / F_max and V / V_max, written with it, so the
+    // per-slice `ratio` and `account` divide nothing.
+    f_ratio: f64,
+    v_ratio: f64,
     transitions: u64,
     energy: EnergyMeter,
 }
@@ -73,10 +77,13 @@ impl Cpu {
     #[must_use]
     pub fn new(pstates: PStateTable, power: PowerModel) -> Self {
         let current = pstates.max_idx();
+        let (f_ratio, v_ratio) = dynamic_factors(pstates.state(current), pstates.max());
         Cpu {
             pstates,
             power,
             current,
+            f_ratio,
+            v_ratio,
             transitions: 0,
             energy: EnergyMeter::new(),
         }
@@ -104,7 +111,7 @@ impl Cpu {
     #[inline]
     #[must_use]
     pub fn ratio(&self) -> f64 {
-        self.pstates.ratio(self.current)
+        self.f_ratio
     }
 
     /// The `cf` factor at the current frequency.
@@ -135,6 +142,8 @@ impl Cpu {
         }
         if idx != self.current {
             self.current = idx;
+            (self.f_ratio, self.v_ratio) =
+                dynamic_factors(self.pstates.state(idx), self.pstates.max());
             self.transitions += 1;
         }
         Ok(())
@@ -148,10 +157,10 @@ impl Cpu {
     /// Panics if `busy` is outside `[0, 1]`.
     #[inline]
     pub fn account(&mut self, busy: f64, dt: SimDuration) {
-        self.energy.advance(
+        self.energy.advance_at(
             &self.power,
-            &self.pstates,
-            self.current,
+            self.f_ratio,
+            self.v_ratio,
             busy,
             dt.as_secs_f64(),
         );
@@ -232,6 +241,47 @@ mod tests {
         let mut c = Cpu::new(t, PowerModel::default());
         c.set_pstate(PStateIdx(0)).unwrap();
         assert!(rate(&c) < 1000.0, "beta penalty bites");
+    }
+
+    /// The factors `set_pstate` stores are the table's, and `account`
+    /// integrates the energy `EnergyMeter::advance` and the power
+    /// formula written out give, bit for bit, on every preset machine
+    /// walked down, up and across its ladder.
+    #[test]
+    fn stored_factors_match_the_table_bit_for_bit() {
+        let mut presets = crate::machines::table1_machines();
+        presets.push(crate::machines::optiplex_755());
+        for spec in presets {
+            let mut cpu = spec.build_cpu();
+            let table = cpu.pstates().clone();
+            let power = *cpu.power_model();
+            let mut meter = EnergyMeter::new();
+            let mut joules = 0.0;
+            let top = table.len() - 1;
+            let walk = (0..=top)
+                .rev()
+                .chain(0..=top)
+                .chain([0, top, 0, top / 2, top, top]);
+            for (step, i) in walk.enumerate() {
+                let idx = PStateIdx(i);
+                cpu.set_pstate(idx).unwrap();
+                assert_eq!(cpu.ratio().to_bits(), table.ratio(idx).to_bits());
+                let busy = (step % 5) as f64 / 4.0;
+                let dt = SimDuration::from_micros(1 + 7_919 * step as u64);
+                cpu.account(busy, dt);
+                meter.advance(&power, &table, idx, busy, dt.as_secs_f64());
+                let (state, max) = (table.state(idx), table.max());
+                let f = f64::from(state.frequency.as_mhz()) / f64::from(max.frequency.as_mhz());
+                let v = state.voltage / max.voltage;
+                joules += (power.p_static_w + busy * power.p_dynamic_max_w * f * v * v)
+                    * dt.as_secs_f64();
+                let got = cpu.energy();
+                assert_eq!(got.joules().to_bits(), meter.joules().to_bits());
+                assert_eq!(got.joules().to_bits(), joules.to_bits());
+                assert_eq!(got.utilization().to_bits(), meter.utilization().to_bits());
+                assert_eq!(got.seconds().to_bits(), meter.seconds().to_bits());
+            }
+        }
     }
 
     #[test]

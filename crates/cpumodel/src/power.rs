@@ -82,14 +82,35 @@ impl PowerModel {
     #[inline]
     #[must_use]
     pub fn power_scaled(&self, state: &PState, fmax_state: &PState, busy: f64) -> f64 {
+        let (f_ratio, v_ratio) = dynamic_factors(state, fmax_state);
+        self.power_at(f_ratio, v_ratio, busy)
+    }
+
+    /// The power formula itself, at a state whose `F / F_max` and
+    /// `V / V_max` are `f_ratio` and `v_ratio` (see
+    /// [`dynamic_factors`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `busy` is outside `[0, 1]`.
+    #[inline]
+    pub(crate) fn power_at(&self, f_ratio: f64, v_ratio: f64, busy: f64) -> f64 {
         assert!(
             (0.0..=1.0).contains(&busy),
             "busy fraction {busy} out of [0,1]"
         );
-        let f_ratio = state.frequency.as_mhz() as f64 / fmax_state.frequency.as_mhz() as f64;
-        let v_ratio = state.voltage / fmax_state.voltage;
         self.p_static_w + busy * self.p_dynamic_max_w * f_ratio * v_ratio * v_ratio
     }
+}
+
+/// `(F / F_max, V / V_max)` of `state` against the reference
+/// `fmax_state`: the factors that scale the dynamic budget.
+#[inline]
+pub(crate) fn dynamic_factors(state: &PState, fmax_state: &PState) -> (f64, f64) {
+    (
+        state.frequency.as_mhz() as f64 / fmax_state.frequency.as_mhz() as f64,
+        state.voltage / fmax_state.voltage,
+    )
 }
 
 impl Default for PowerModel {
@@ -133,8 +154,28 @@ impl EnergyMeter {
         busy: f64,
         dt_secs: f64,
     ) {
+        let (f_ratio, v_ratio) = dynamic_factors(table.state(state), table.max());
+        self.advance_at(model, f_ratio, v_ratio, busy, dt_secs);
+    }
+
+    /// [`advance`](Self::advance) at a state given by its
+    /// [`dynamic_factors`], which [`Cpu`](crate::Cpu) keeps for its
+    /// current state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dt_secs` is negative or `busy` outside `[0, 1]`.
+    #[inline]
+    pub(crate) fn advance_at(
+        &mut self,
+        model: &PowerModel,
+        f_ratio: f64,
+        v_ratio: f64,
+        busy: f64,
+        dt_secs: f64,
+    ) {
         assert!(dt_secs >= 0.0, "negative time span");
-        let p = model.power_scaled(table.state(state), table.max(), busy);
+        let p = model.power_at(f_ratio, v_ratio, busy);
         self.joules += p * dt_secs;
         self.busy_seconds += busy * dt_secs;
         self.total_seconds += dt_secs;

@@ -636,6 +636,7 @@ impl Host {
             let t0 = self.profiling.then(std::time::Instant::now);
             let prev_pstate = self.tracer.as_ref().map(|_| self.cpu.pstate());
             let (load, abs) = self.stats.take_acct_window(self.now);
+            let mut caps_rewritten = false;
             self.rq.sched.on_accounting(self.now);
             if let Some(pas) = self.pas.as_mut() {
                 // Listing 1.2, with the absolute load measured exactly
@@ -644,7 +645,8 @@ impl Host {
                 // An Eq. 4 cap is a pure function of the booking and
                 // the target, and nothing else writes a cap on a PAS
                 // host, so the caps change only with the target.
-                if self.pas_caps_for != Some(target) {
+                caps_rewritten = self.pas_caps_for != Some(target);
+                if caps_rewritten {
                     for vm in &self.rq.vms {
                         let cap = pas.cap(vm.config.credit, target);
                         self.rq.sched.set_cap_external(vm.id, cap);
@@ -657,7 +659,11 @@ impl Host {
             }
             if let Some(prev) = prev_pstate {
                 self.note_freq_change(prev, FreqCause::Scheduler);
-                self.note_cap_changes();
+                // The recorded caps are those of the last rewrite,
+                // unless a tracer or a VM joined since.
+                if caps_rewritten || self.pas_caps.len() < self.rq.vms.len() {
+                    self.note_cap_changes();
+                }
             }
             self.next_acct += self.acct_period;
             if let Some(t0) = t0 {
@@ -720,7 +726,8 @@ impl Host {
 
     /// Records a `cap_change` for each VM whose PAS cap differs from
     /// the one last recorded (for every VM on the first traced tick).
-    /// Only called on the traced path, after the P-state is written.
+    /// Only called on the traced path, after the P-state is written,
+    /// on a tick that rewrote the caps or has VMs not yet recorded.
     fn note_cap_changes(&mut self) {
         let (Some(pas), Some(t)) = (self.pas.as_ref(), self.tracer.as_mut()) else {
             return;

@@ -68,6 +68,10 @@ pub struct MultiHost {
     /// One PAS controller per DVFS domain, indexed by [`DomainId`];
     /// none under [`MultiDvfs::MaxFrequency`].
     pas: Vec<PasDomain>,
+    /// The P-state each domain's caps were last written for, as on
+    /// `Host`: `None` before the first tick and after a VM joins,
+    /// since `on_vm_added` caps it at its uncompensated credit.
+    pas_caps_for: Vec<Option<cpumodel::PStateIdx>>,
     now: SimTime,
     acct_period: SimDuration,
     next_acct: SimTime,
@@ -103,6 +107,7 @@ impl MultiHost {
                 .collect(),
             placement: Vec::new(),
             pas: vec![PasDomain::new(machine.pstate_table()); n_pas],
+            pas_caps_for: vec![None; n_pas],
             now: SimTime::ZERO,
             acct_period,
             next_acct: SimTime::ZERO + acct_period,
@@ -125,6 +130,7 @@ impl MultiHost {
         let st = &mut self.cores[core.0];
         self.placement.push((core, st.rq.add_vm(config, work)));
         st.vm_total_abs.push(0.0);
+        self.pas_caps_for.fill(None);
         id
     }
 
@@ -228,7 +234,8 @@ impl MultiHost {
         let window = self.now.duration_since(self.window_start).as_secs_f64();
         // Per-domain DVFS + credit compensation.
         if window > 0.0 {
-            for (d, pas) in self.pas.iter_mut().enumerate() {
+            for (d, (pas, caps_for)) in self.pas.iter_mut().zip(&mut self.pas_caps_for).enumerate()
+            {
                 let domain = DomainId(d);
                 let cores = self.topo.cores_in(domain);
                 let mut busiest_abs: f64 = 0.0;
@@ -243,12 +250,17 @@ impl MultiHost {
                 self.pkg
                     .set_domain_pstate(domain, target)
                     .expect("valid p-state");
+                // The caps are a pure function of booking and target.
+                if *caps_for == Some(target) {
+                    continue;
+                }
                 for c in &cores {
                     let rq = &mut self.cores[c.0].rq;
                     for vm in &rq.vms {
                         rq.sched.set_cap(vm.id, pas.cap(vm.config.credit, target));
                     }
                 }
+                *caps_for = Some(target);
             }
         }
         // Credit refill on every core scheduler.

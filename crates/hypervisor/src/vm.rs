@@ -235,14 +235,17 @@ impl Vm {
     /// [`MIN_RUNNABLE_MCYCLES`]); once the workload has generated all
     /// its demand, any remaining backlog tail counts so batch jobs
     /// complete exactly.
+    ///
+    /// The backlog decides outside the band between the two floors,
+    /// so only a backlog inside it asks the source whether its demand
+    /// is exhausted.
     #[inline]
     #[must_use]
     pub fn is_runnable(&self) -> bool {
-        if self.demand_exhausted() {
-            self.backlog_mcycles > 1e-9
-        } else {
-            self.backlog_mcycles >= MIN_RUNNABLE_MCYCLES
+        if self.backlog_mcycles >= MIN_RUNNABLE_MCYCLES {
+            return true;
         }
+        self.backlog_mcycles > 1e-9 && self.demand_exhausted()
     }
 
     /// Pulls new demand from the workload for the elapsed span.
@@ -388,6 +391,55 @@ mod tests {
         );
         open.refill(SimTime::ZERO, SimDuration::from_millis(10));
         assert!(!open.is_complete());
+    }
+
+    /// `is_runnable` reads the backlog before the source, and agrees
+    /// with asking the source first at each edge of the band between
+    /// the two floors, for steady and opaque, exhausted and ongoing
+    /// sources.
+    #[test]
+    fn backlog_first_runnable_test_matches_source_first() {
+        let old_rule = |vm: &Vm| {
+            if vm.demand_exhausted() {
+                vm.backlog_mcycles > 1e-9
+            } else {
+                vm.backlog_mcycles >= MIN_RUNNABLE_MCYCLES
+            }
+        };
+        let mut released = crate::work::test_batch(1.0);
+        released.generate(SimTime::from_secs(1), SimDuration::from_secs(1));
+        let sources: [(Box<dyn WorkSource>, bool); 5] = [
+            (Box::new(ConstantDemand::new(1000.0)), false),
+            (Box::new(ConstantDemand::new(0.0)), true),
+            (Box::new(Idle), true),
+            (Box::new(crate::work::test_batch(1.0)), false),
+            (Box::new(released), true),
+        ];
+        let backlogs = [
+            0.0,
+            -0.0,
+            1e-9_f64.next_down(),
+            1e-9,
+            1e-9_f64.next_up(),
+            MIN_RUNNABLE_MCYCLES.next_down(),
+            MIN_RUNNABLE_MCYCLES,
+            MIN_RUNNABLE_MCYCLES.next_up(),
+            1.0,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for (work, exhausted) in sources {
+            let mut vm = Vm::new(VmId(0), VmConfig::new("v", Credit::percent(50.0)), work);
+            assert_eq!(vm.demand_exhausted(), exhausted, "{}", vm.work().label());
+            for b in backlogs {
+                vm.backlog_mcycles = b;
+                assert_eq!(
+                    vm.is_runnable(),
+                    old_rule(&vm),
+                    "backlog {b}, exhausted {exhausted}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -118,15 +118,22 @@ impl Profile {
     /// The intensity at instant `now`.
     #[must_use]
     pub fn intensity_at(&self, now: SimTime) -> Intensity {
+        self.phase_at(now).2
+    }
+
+    /// The phase holding instant `now`: its `[start, end)` bounds and
+    /// its intensity. Past the last phase it is the idle tail,
+    /// `[total_duration, SimTime::MAX)`.
+    pub(crate) fn phase_at(&self, now: SimTime) -> (SimTime, SimTime, Intensity) {
         let mut t = SimTime::ZERO;
         for ph in &self.phases {
             let end = t + ph.duration;
             if now < end {
-                return ph.intensity;
+                return (t, end, ph.intensity);
             }
             t = end;
         }
-        Intensity::Idle
+        (t, SimTime::MAX, Intensity::Idle)
     }
 
     /// Total configured length (after which the profile is idle).

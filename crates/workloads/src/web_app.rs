@@ -90,11 +90,33 @@ pub struct WebApp {
     offered_mcycles: f64,
     served_mcycles: f64,
     dropped_mcycles: f64,
+    /// The phase the last slice's midpoint fell in (see
+    /// [`WebApp::slice_rate`]).
+    phase: CachedPhase,
     /// FIFO of in-flight demand: (arrival time, remaining mcycles).
     in_flight: VecDeque<(SimTime, f64)>,
-    /// Completed requests per response time in microseconds.
-    latency_counts: HashMap<u64, usize, BuildHasherDefault<MicrosHasher>>,
+    /// Completed requests per response time in microseconds, for
+    /// latencies and counts below 2^32: 8 bytes an entry.
+    latency_counts: HashMap<u32, u32, BuildHasherDefault<MicrosHasher>>,
+    /// The rest: latencies of 2^32 µs (71 minutes) or more, and the
+    /// requests of a latency whose narrow count is full.
+    wide_latency_counts: HashMap<u64, u64, BuildHasherDefault<MicrosHasher>>,
 }
+
+/// A phase's `[start, end)` bounds and its demand rate.
+#[derive(Debug, Clone, Copy)]
+struct CachedPhase {
+    start: SimTime,
+    end: SimTime,
+    rate_mcps: f64,
+}
+
+/// For a slice ending before this instant, the float midpoint
+/// `generate` computes rounds to an instant inside the slice: each of
+/// its four roundings (`now` and `dt` to seconds, their difference,
+/// its product by 1e6) errs by at most half an ulp of a value below
+/// 2^50 µs, under 0.12 µs, so the midpoint errs by under 0.5 µs.
+const EXACT_MIDPOINT_LIMIT: SimTime = SimTime::from_micros(1 << 50);
 
 /// One multiply per key. Latencies are not adversarial, so the keyed
 /// SipHash behind std's default hasher would buy nothing here.
@@ -106,6 +128,10 @@ impl Hasher for MicrosHasher {
         for &b in bytes {
             self.write_u64(u64::from(b));
         }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
     }
 
     fn write_u64(&mut self, n: u64) {
@@ -155,8 +181,15 @@ impl WebApp {
             offered_mcycles: 0.0,
             served_mcycles: 0.0,
             dropped_mcycles: 0.0,
+            // An empty range: the first slice looks its phase up.
+            phase: CachedPhase {
+                start: SimTime::ZERO,
+                end: SimTime::ZERO,
+                rate_mcps: 0.0,
+            },
             in_flight: VecDeque::new(),
             latency_counts: HashMap::default(),
+            wide_latency_counts: HashMap::default(),
         }
     }
 
@@ -206,27 +239,22 @@ impl WebApp {
     /// memory grows with distinct microsecond values, not requests.
     #[must_use]
     pub fn latency_stats(&self) -> LatencyStats {
-        let mut counts: Vec<(u64, usize)> = self
-            .latency_counts
-            .iter()
-            .map(|(&us, &n)| (us, n))
-            .collect();
-        counts.sort_unstable();
+        let counts = self.sorted_latency_counts();
         let Some(&(max_us, _)) = counts.last() else {
             return LatencyStats::default();
         };
         let secs = |us| SimDuration::from_micros(us).as_secs_f64();
-        let samples: usize = counts.iter().map(|&(_, n)| n).sum();
+        let samples = counts.iter().map(|&(_, n)| n as usize).sum::<usize>();
         let sum: f64 = counts
             .iter()
-            .flat_map(|&(us, n)| std::iter::repeat_n(secs(us), n))
+            .flat_map(|&(us, n)| std::iter::repeat_n(secs(us), n as usize))
             .sum();
         let p95_idx = ((samples as f64) * 0.95).ceil() as usize - 1;
         let mut seen = 0;
         let (p95_us, _) = counts
             .iter()
             .find(|&&(_, n)| {
-                seen += n;
+                seen += n as usize;
                 seen > p95_idx
             })
             .expect("p95 index is below the sample count");
@@ -238,14 +266,63 @@ impl WebApp {
         }
     }
 
-    fn record_latency(&mut self, latency: SimDuration) {
-        *self.latency_counts.entry(latency.as_micros()).or_insert(0) += 1;
+    /// Every distinct latency with its count, both maps merged,
+    /// ascending.
+    fn sorted_latency_counts(&self) -> Vec<(u64, u64)> {
+        let narrow = self
+            .latency_counts
+            .iter()
+            .map(|(&us, &n)| (u64::from(us), u64::from(n)));
+        let wide = self.wide_latency_counts.iter().map(|(&us, &n)| (us, n));
+        let mut counts: Vec<(u64, u64)> = narrow.chain(wide).collect();
+        counts.sort_unstable();
+        // A latency in both maps is one whose narrow count filled up.
+        counts.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 += later.1;
+            }
+            same
+        });
+        counts
     }
 
-    fn phase_rate(&self, now: SimTime) -> f64 {
-        self.profile
-            .intensity_at(now)
-            .rate_mcps(self.vm_capacity_mcps, self.host_capacity_mcps)
+    fn record_latency(&mut self, latency: SimDuration) {
+        let us = latency.as_micros();
+        if let Ok(key) = u32::try_from(us) {
+            let n = self.latency_counts.entry(key).or_insert(0);
+            if let Some(more) = n.checked_add(1) {
+                *n = more;
+                return;
+            }
+        }
+        *self.wide_latency_counts.entry(us).or_insert(0) += 1;
+    }
+
+    /// The demand rate of the slice of `dt` ending at `now`: the rate
+    /// of the phase holding the slice's midpoint, computed in float
+    /// seconds and rounded to the microsecond.
+    ///
+    /// That midpoint always lies in `[now − dt, now]` (see
+    /// [`EXACT_MIDPOINT_LIMIT`]), so a slice that lies wholly inside
+    /// the phase of the previous midpoint gets that phase's rate
+    /// without the float round trip. Only a slice touching a phase
+    /// edge, or one in another phase (time may move backwards), looks
+    /// its phase up again.
+    #[inline]
+    fn slice_rate(&mut self, now: SimTime, dt: SimDuration) -> f64 {
+        let from = SimTime::from_micros(now.as_micros().saturating_sub(dt.as_micros()));
+        if self.phase.start <= from && now < self.phase.end {
+            return self.phase.rate_mcps;
+        }
+        let mid = now.as_secs_f64() - dt.as_secs_f64() / 2.0;
+        let (start, end, intensity) = self.profile.phase_at(SimTime::from_secs_f64(mid.max(0.0)));
+        self.phase = CachedPhase {
+            start,
+            end: end.min(EXACT_MIDPOINT_LIMIT),
+            rate_mcps: intensity.rate_mcps(self.vm_capacity_mcps, self.host_capacity_mcps),
+        };
+        self.phase.rate_mcps
     }
 
     /// Samples a Poisson count with mean `lambda` (Knuth's method —
@@ -283,8 +360,11 @@ impl WorkSource for WebApp {
     fn generate(&mut self, now: SimTime, dt: SimDuration) -> f64 {
         // Use the intensity at the midpoint of the slice so phase
         // boundaries land within half a quantum of their nominal time.
-        let mid = now.as_secs_f64() - dt.as_secs_f64() / 2.0;
-        let rate = self.phase_rate(SimTime::from_secs_f64(mid.max(0.0)));
+        let rate = self.slice_rate(now, dt);
+        if rate == 0.0 {
+            // Zero demand: nothing offered or queued, no arrival drawn.
+            return 0.0;
+        }
         let demand = match &mut self.arrivals {
             ArrivalModel::Fluid => rate * dt.as_secs_f64(),
             ArrivalModel::Poisson {
@@ -625,6 +705,204 @@ mod tests {
         }
         assert_eq!(app.latency_counts.len(), 1_000);
         assert_eq!(app.latency_stats().samples, 1_000_000);
+    }
+
+    #[test]
+    fn latency_counts_match_beyond_u32_micros() {
+        let wide = 1u64 << 32;
+        let narrow_max = u64::from(u32::MAX);
+        let mut micros = vec![
+            5,
+            5,
+            narrow_max - 1,
+            narrow_max,
+            wide,
+            wide,
+            wide + 1,
+            1 << 40,
+        ];
+        micros.extend([wide; 30]);
+        micros.extend([7; 10]);
+        let stats = assert_exact(&micros);
+        assert_eq!(stats.max_s, SimDuration::from_micros(1 << 40).as_secs_f64());
+        assert_eq!(stats.p95_s, SimDuration::from_micros(wide).as_secs_f64());
+    }
+
+    #[test]
+    fn full_narrow_count_rolls_over_into_the_wide_map() {
+        let mut app = WebApp::new(exact_profile(), 500.0, 2500.0, ArrivalModel::Fluid);
+        app.latency_counts.insert(7, u32::MAX);
+        for us in [7, 3, 7, 1 << 32, 7] {
+            app.record_latency(SimDuration::from_micros(us));
+        }
+        assert_eq!(app.latency_counts[&7], u32::MAX);
+        assert_eq!(app.wide_latency_counts[&7], 3);
+        assert_eq!(
+            app.sorted_latency_counts(),
+            vec![(3, 1), (7, u64::from(u32::MAX) + 3), (1 << 32, 1)]
+        );
+    }
+
+    /// `generate` before the phase cache: the rate of the phase
+    /// holding the slice's float midpoint, looked up on every call by
+    /// walking the phases.
+    struct MidpointReference {
+        phases: Vec<(u64, Intensity)>,
+        arrivals: ArrivalModel,
+        offered_mcycles: f64,
+    }
+
+    impl MidpointReference {
+        fn generate(&mut self, now: SimTime, dt: SimDuration) -> f64 {
+            let mid = now.as_secs_f64() - dt.as_secs_f64() / 2.0;
+            let mid_us = SimTime::from_secs_f64(mid.max(0.0)).as_micros();
+            let mut end = 0;
+            let mut intensity = Intensity::Idle;
+            for &(len, i) in &self.phases {
+                end += len;
+                if mid_us < end {
+                    intensity = i;
+                    break;
+                }
+            }
+            let rate = intensity.rate_mcps(VM_MCPS, HOST_MCPS);
+            let demand = match &mut self.arrivals {
+                ArrivalModel::Fluid => rate * dt.as_secs_f64(),
+                ArrivalModel::Poisson {
+                    request_mcycles,
+                    rng,
+                } => {
+                    let lambda = rate * dt.as_secs_f64() / *request_mcycles;
+                    WebApp::poisson(rng, lambda) as f64 * *request_mcycles
+                }
+            };
+            self.offered_mcycles += demand;
+            demand
+        }
+    }
+
+    const VM_MCPS: f64 = 533.4;
+    const HOST_MCPS: f64 = 2667.0;
+
+    /// Runs `slices` through a web-app and through the reference,
+    /// checking each slice's demand and the offered total bit for bit.
+    fn assert_matches_midpoint_rule(
+        phases: &[(u64, Intensity)],
+        arrivals: ArrivalModel,
+        slices: &[(u64, u64)],
+    ) {
+        let profile = Profile::from_phases(
+            phases
+                .iter()
+                .map(|&(len, intensity)| crate::profile::Phase {
+                    duration: SimDuration::from_micros(len),
+                    intensity,
+                })
+                .collect(),
+        );
+        let mut app = WebApp::new(profile, VM_MCPS, HOST_MCPS, arrivals.clone());
+        let mut reference = MidpointReference {
+            phases: phases.to_vec(),
+            arrivals,
+            offered_mcycles: 0.0,
+        };
+        for &(now, dt) in slices {
+            let (now, dt) = (SimTime::from_micros(now), SimDuration::from_micros(dt));
+            let got = app.generate(now, dt);
+            let want = reference.generate(now, dt);
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "slice of {dt} ending at {now}"
+            );
+            assert_eq!(
+                app.offered_mcycles().to_bits(),
+                reference.offered_mcycles.to_bits()
+            );
+        }
+    }
+
+    /// Slices around every phase edge, forwards and backwards, then a
+    /// walk of abutting slices of 1 µs to 10 ms with jumps back and to
+    /// the edges.
+    fn slices_around(phases: &[(u64, Intensity)], seed: u64) -> Vec<(u64, u64)> {
+        let edges: Vec<u64> = std::iter::once(0)
+            .chain(phases.iter().scan(0, |end, &(len, _)| {
+                *end += len;
+                Some(*end)
+            }))
+            .collect();
+        let mut slices = Vec::new();
+        for &edge in &edges {
+            for dt in [0, 1, 2, 3, 7, 10, 999, 1_000, 1_001, 4_999, 5_000, 10_000] {
+                let ends = [
+                    edge.saturating_sub(dt + 1),
+                    edge.saturating_sub(dt),
+                    edge.saturating_sub(dt) + 1,
+                    edge.saturating_sub(1),
+                    edge,
+                    edge + 1,
+                    edge + dt.saturating_sub(1),
+                    edge + dt,
+                    edge + dt + 1,
+                ];
+                slices.extend(ends.iter().map(|&now| (now, dt)));
+                slices.extend(ends.iter().rev().map(|&now| (now, dt)));
+            }
+        }
+        let mut rng = SimRng::seed_from(seed);
+        let mut now = 0;
+        for _ in 0..25_000 {
+            let dt = 1 + rng.below(10_000);
+            match rng.below(20) {
+                0 => {
+                    let edge = edges[rng.below(edges.len() as u64) as usize];
+                    now = (edge + rng.below(24_000)).saturating_sub(12_000);
+                }
+                1 => now = now.saturating_sub(rng.below(20_000)),
+                _ => now += dt,
+            }
+            slices.push((now, dt));
+        }
+        slices
+    }
+
+    #[test]
+    fn phase_cache_matches_the_midpoint_rule() {
+        let near_2_50 = (1u64 << 50) - 20_000;
+        let profiles: [Vec<(u64, Intensity)>; 2] = [
+            vec![
+                (3_000, Intensity::Idle),
+                (5_000, Intensity::Exact),
+                (1, Intensity::Fraction(0.5)),
+                (2_000, Intensity::Thrashing),
+                (0, Intensity::Exact),
+                (7_500, Intensity::Fraction(0.25)),
+                (4, Intensity::Exact),
+            ],
+            vec![
+                (near_2_50, Intensity::Exact),
+                (4_000, Intensity::Thrashing),
+                (3, Intensity::Fraction(0.25)),
+                (10_000, Intensity::Idle),
+                (5_000, Intensity::Exact),
+                (2_000, Intensity::Thrashing),
+            ],
+        ];
+        let mut checked = 0;
+        for (seed, phases) in profiles.iter().enumerate() {
+            let slices = slices_around(phases, seed as u64);
+            assert_matches_midpoint_rule(phases, ArrivalModel::Fluid, &slices);
+            for request_mcycles in [0.5, 10.0] {
+                let poisson = ArrivalModel::Poisson {
+                    request_mcycles,
+                    rng: SimRng::seed_from(11 + seed as u64),
+                };
+                assert_matches_midpoint_rule(phases, poisson, &slices);
+            }
+            checked += 3 * slices.len();
+        }
+        assert!(checked >= 100_000, "{checked} slices");
     }
 
     #[test]
